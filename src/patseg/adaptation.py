@@ -17,20 +17,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from .char_features import FeatureVector
-from .corpus import Document, encode_bmes
+from .config import MODES, ConfigError
+from .corpus import Document, decode_bmes, encode_bmes
 from .crf import CrfModel, TrainConfig, TrainingInstance, train
 from .pipeline import FeatureExtractor
-
-MODES = ("target", "all", "transit", "easy")
 
 COMMON_PREFIX = "COM"
 SOURCE_DOMAIN = "source"
 TARGET_DOMAIN = "target"
 TRANSIT_TEMPLATE = "TRANSIT"
-
-
-class ConfigError(ValueError):
-    """A training mode is missing one of its required inputs."""
 
 
 def augment(fv: FeatureVector, domain: str) -> FeatureVector:
@@ -44,20 +39,15 @@ def augment(fv: FeatureVector, domain: str) -> FeatureVector:
     return out
 
 
-def dense_augmentation(values: Sequence[str], domain: str) -> list[str]:
-    """Materialize the augmented vector over the tripled feature space.
-
-    Layout is <common block, source block, target block> with "0" in the
-    block the domain does not own; used to check the sparse
-    representation against the intended dense semantics.
-    """
-    if domain not in (SOURCE_DOMAIN, TARGET_DOMAIN):
-        raise ValueError(f"unknown domain {domain!r}")
-    zeros = ["0"] * len(values)
-    common = list(values)
-    if domain == SOURCE_DOMAIN:
-        return common + list(values) + zeros
-    return common + zeros + list(values)
+def _with_transit_labels(
+    source_model: CrfModel, per_sentence: list[list[FeatureVector]]
+) -> list[list[FeatureVector]]:
+    """Append the source model's predicted label to every position."""
+    predicted = source_model.viterbi_batch(per_sentence)
+    return [
+        [fv + [(TRANSIT_TEMPLATE, lab)] for fv, lab in zip(rows, labels)]
+        for rows, labels in zip(per_sentence, predicted)
+    ]
 
 
 def _document_instances(
@@ -69,11 +59,10 @@ def _document_instances(
     if doc.words is None:
         raise ValueError(f"document {doc.doc_id!r} is not segmented")
     per_sentence = extractor.document_features(doc)
+    if transit_model is not None:
+        per_sentence = _with_transit_labels(transit_model, per_sentence)
     instances = []
     for si, (rows, words) in enumerate(zip(per_sentence, doc.words)):
-        if transit_model is not None:
-            predicted = transit_model.viterbi(rows)
-            rows = [fv + [(TRANSIT_TEMPLATE, lab)] for fv, lab in zip(rows, predicted)]
         if domain is not None:
             rows = [augment(fv, domain) for fv in rows]
         instances.append(
@@ -154,11 +143,7 @@ def decoding_features(
     if mode == "transit":
         if source_model is None:
             raise ConfigError("transit decoding needs the auxiliary source model")
-        labeled = []
-        for rows in per_sentence:
-            predicted = source_model.viterbi(rows)
-            labeled.append([fv + [(TRANSIT_TEMPLATE, lab)] for fv, lab in zip(rows, predicted)])
-        return labeled
+        return _with_transit_labels(source_model, per_sentence)
     if mode == "easy":
         return [[augment(fv, TARGET_DOMAIN) for fv in rows] for rows in per_sentence]
     return per_sentence
@@ -171,14 +156,9 @@ def segment_document(
     mode: str = "target",
     source_model: CrfModel | None = None,
 ) -> Document:
-    """Decode every sentence of a document into words."""
-    from .corpus import decode_bmes
-
-    per_sentence = decoding_features(doc, extractor, mode, source_model)
-    words = tuple(
-        tuple(decode_bmes(sent, model.viterbi(rows)))
-        for sent, rows in zip(doc.sentences, per_sentence)
-    )
+    """Decode every sentence of a document into words, in one batched pass."""
+    labels = model.viterbi_batch(decoding_features(doc, extractor, mode, source_model))
+    words = tuple(tuple(decode_bmes(sent, labs)) for sent, labs in zip(doc.sentences, labels))
     return Document(doc.doc_id, doc.sentences, words)
 
 

@@ -4,7 +4,9 @@ Subcommands: ``extract-knowledge``, ``train``, ``segment``, ``eval``,
 ``curve``.  Every command takes ``--config PATH`` plus repeatable
 ``--set section.key=value`` overrides; flags win over file values.  On
 failure the process exits nonzero after printing a single
-``error:<category>: message`` line to stderr.
+``error:<category>: message`` line to stderr.  A training run that stops
+at ``max_iterations`` before converging prints a ``warning:training:``
+line to stderr and still succeeds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import click
 
 from . import adaptation, evaluation
 from .config import ConfigError, RunConfig, config_as_dict, load_config, parse_config
-from .corpus import Document, ParseError, corpus_files, read_corpus
+from .corpus import Document, ParseError, corpus_files, read_corpus, read_lines
 from .crf import CrfModel, TrainConfig, TrainingError, train as crf_train
 from .external_features import KnowledgeBase, archive_checksum, build_knowledge, read_tagged_corpus
 from .pipeline import EXTERNAL_GROUPS, FeatureExtractor
@@ -32,7 +34,6 @@ class MismatchError(RuntimeError):
 
 _ERROR_CATEGORIES = (
     (ConfigError, "config"),
-    (adaptation.ConfigError, "config"),
     (ParseError, "parse"),
     (MismatchError, "mismatch"),
     (TrainingError, "training"),
@@ -184,6 +185,13 @@ def cmd_train(config_path, overrides) -> None:
             "config": config_as_dict(cfg),
         }
         model = crf_train(instances, train_config, manifest)
+        optimizer = model.manifest["optimizer"]
+        if not optimizer["converged"] and optimizer["nit"] >= train_config.max_iterations:
+            click.echo(
+                f"warning:training: stopped at max_iterations={train_config.max_iterations} "
+                "before convergence",
+                err=True,
+            )
         out = Path(cfg.model)
         out.parent.mkdir(parents=True, exist_ok=True)
         model.save(out)
@@ -196,7 +204,7 @@ def cmd_train(config_path, overrides) -> None:
 
 def _segment_file(path: Path, model, extractor, mode, source_model) -> list[str]:
     # blank lines are skipped by the decoder but preserved in the output
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     sentences = [ln for ln in lines if ln]
     if not sentences:
         return ["" for _ in lines]

@@ -12,12 +12,14 @@ import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .adaptation import MODES
 from .pipeline import normalize_groups
+
+# Training regimes; see the adaptation module.
+MODES = ("target", "all", "transit", "easy")
 
 
 class ConfigError(ValueError):
-    """The configuration file or an override is invalid."""
+    """The configuration, an override, or a mode's inputs are invalid."""
 
 
 @dataclass(frozen=True)

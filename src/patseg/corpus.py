@@ -159,20 +159,31 @@ def _parse_segmented_line(line: str, path: Path, lineno: int) -> tuple[str, ...]
     return tuple(words)
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 text file, the one line reader for every corpus.
+
+    Lines end at "\n", "\r\n" or "\r" only.  Other Unicode line
+    boundaries (form feed, U+0085, U+2028, ...) stay inside their line,
+    so a raw file and its segmentation line up one to one.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _read_document(path: Path, mode: str) -> Document | None:
     sentences: list[str] = []
     words: list[tuple[str, ...]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if mode == "segmented":
-                ws = _parse_segmented_line(line, path, lineno)
-                words.append(ws)
-                sentences.append("".join(ws))
-            else:
-                sentences.append(line)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        if mode == "segmented":
+            ws = _parse_segmented_line(line, path, lineno)
+            words.append(ws)
+            sentences.append("".join(ws))
+        else:
+            sentences.append(line)
     if not sentences:
         return None
     if mode == "segmented":

@@ -6,10 +6,17 @@ output labels to form indicator weights, plus the 16 label-to-label
 transition weights.  Unseen feature values score 0 at test time.
 
 Training maximizes the L2-regularized mean log-likelihood with exact
-gradients from forward-backward, run in the log domain so sequences of
-thousands of positions cannot overflow.  The optimizer is a batch
-quasi-Newton method (L-BFGS-B) with deterministic behavior: identical
-data and config reproduce bit-identical weights.
+gradients from forward-backward.  The optimizer is a batch quasi-Newton
+method (L-BFGS-B) with deterministic behavior: identical data and config
+reproduce bit-identical weights.
+
+Training and decoding share one core, :class:`PackedBatch`: a batch of
+sequences stored time-major with one row per position, so memory is
+O(sum of lengths), not O(sequences x longest).  Over that layout run the
+only forward-backward (scaled domain, renormalized at every row, so
+sequences of any length cannot overflow) and the only Viterbi (additive
+max-product in the log domain).  The per-sentence methods of
+:class:`CrfModel` call the core with a batch of one.
 
 Viterbi ties are broken toward the lexicographically smallest sequence
 under the label order B < M < E < S at the earliest differing position.
@@ -24,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from .char_features import FeatureVector
 from .corpus import LABELS
@@ -94,6 +102,11 @@ class FeatureRegistry:
     def slot(self, template_id: str, value: str) -> int | None:
         return self._slots.get((template_id, value))
 
+    def slots_of(self, fv: FeatureVector) -> list[int]:
+        """Slots of a feature vector's registered entries, in entry order."""
+        get = self._slots.get
+        return [s for s in map(get, fv) if s is not None]
+
     def emission_index(self, template_id: str, value: str, label: str) -> int | None:
         s = self._slots.get((template_id, value))
         if s is None:
@@ -117,15 +130,6 @@ class FeatureRegistry:
             reg.add(template_id, value)
         reg.frozen = True
         return reg
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
-def _first_argmax(values: np.ndarray) -> int:
-    return int(np.flatnonzero(values == values.max())[0])
 
 
 class CrfModel:
@@ -157,79 +161,40 @@ class CrfModel:
     def _transition_weights(self) -> np.ndarray:
         return self.weights[self.registry.n_slots * N_LABELS :].reshape(N_LABELS, N_LABELS)
 
-    def _position_slots(self, features: Sequence[FeatureVector]) -> list[np.ndarray]:
-        reg = self.registry
-        out = []
-        for fv in features:
-            slots = [s for s in (reg.slot(t, v) for t, v in fv) if s is not None]
-            out.append(np.asarray(slots, dtype=np.intp))
-        return out
-
-    def _emission_matrix(self, features: Sequence[FeatureVector]) -> np.ndarray:
-        w_e = self._emission_weights()
-        e = np.zeros((len(features), N_LABELS))
-        for t, slots in enumerate(self._position_slots(features)):
-            if len(slots):
-                e[t] = w_e[slots].sum(axis=0)
-        return e
+    def _scores(self, sentences: Sequence[Sequence[FeatureVector]]):
+        batch = PackedBatch(self.registry, sentences)
+        return batch, batch.emissions(self._emission_weights()), self._transition_weights()
 
     def score_sequence(self, features: Sequence[FeatureVector], labels: Sequence[str]) -> float:
         """Linear score of one labeling: emissions plus transitions."""
         if len(features) != len(labels):
             raise ValueError("features and labels differ in length")
-        e = self._emission_matrix(features)
-        w_t = self._transition_weights()
+        _, e, w_t = self._scores([features])
         idx = [_LABEL_INDEX[lab] for lab in labels]
         score = float(e[np.arange(len(idx)), idx].sum())
         score += float(sum(w_t[idx[t], idx[t + 1]] for t in range(len(idx) - 1)))
         return score
 
+    def viterbi_batch(self, sentences: Sequence[Sequence[FeatureVector]]) -> list[list[str]]:
+        """Highest-scoring labeling of every sentence, decoded in one
+        packed pass; see :meth:`PackedBatch.viterbi` for the tie rule."""
+        batch, e, w_t = self._scores(sentences)
+        return [[LABELS[i] for i in seq.tolist()] for seq in batch.unpack(batch.viterbi(e, w_t))]
+
     def viterbi(self, features: Sequence[FeatureVector]) -> list[str]:
         """Highest-scoring labeling; ties resolve to the lexicographically
-        smallest sequence under B < M < E < S.
-
-        Runs the max recursion backward and reads the sequence out
-        forward, greedily taking the smallest label that still attains
-        the optimum; breaking ties at backpointers instead would minimize
-        late positions rather than early ones.
-        """
-        n = len(features)
-        if n == 0:
-            raise ValueError("cannot decode an empty sequence")
-        e = self._emission_matrix(features)
-        w_t = self._transition_weights()
-        best_from = np.empty((n, N_LABELS))
-        best_from[n - 1] = e[n - 1]
-        for t in range(n - 2, -1, -1):
-            best_from[t] = e[t] + (w_t + best_from[t + 1][None, :]).max(axis=1)
-        labels = [_first_argmax(best_from[0])]
-        for t in range(n - 1):
-            cand = w_t[labels[-1]] + best_from[t + 1]
-            labels.append(_first_argmax(cand))
-        return [LABELS[i] for i in labels]
+        smallest sequence under B < M < E < S."""
+        return self.viterbi_batch([features])[0]
 
     def log_partition(self, features: Sequence[FeatureVector]) -> float:
-        e = self._emission_matrix(features)
-        w_t = self._transition_weights()
-        log_alpha = e[0]
-        for t in range(1, len(features)):
-            log_alpha = e[t] + _logsumexp(log_alpha[:, None] + w_t, axis=0)
-        return float(_logsumexp(log_alpha, axis=0))
+        batch, e, w_t = self._scores([features])
+        return float(batch.forward_backward(e, w_t)[0][0])
 
     def marginals(self, features: Sequence[FeatureVector]) -> np.ndarray:
         """Per-position posterior over labels, each row summing to one."""
-        n = len(features)
-        e = self._emission_matrix(features)
-        w_t = self._transition_weights()
-        log_alpha = np.empty((n, N_LABELS))
-        log_alpha[0] = e[0]
-        for t in range(1, n):
-            log_alpha[t] = e[t] + _logsumexp(log_alpha[t - 1][:, None] + w_t, axis=0)
-        log_beta = np.zeros((n, N_LABELS))
-        for t in range(n - 2, -1, -1):
-            log_beta[t] = _logsumexp(w_t + (e[t + 1] + log_beta[t + 1])[None, :], axis=1)
-        log_z = _logsumexp(log_alpha[n - 1], axis=0)
-        return np.exp(log_alpha + log_beta - log_z)
+        batch, e, w_t = self._scores([features])
+        # one sequence packs to its own position order
+        return batch.forward_backward(e, w_t)[1]
 
     def save(self, path: str | Path) -> None:
         """Versioned container; round-trips bit-exactly."""
@@ -265,146 +230,182 @@ class CrfModel:
         return cls(registry, payload["weights"], config, payload.get("manifest"))
 
 
-class _CompiledBatch:
-    """Training instances flattened into arrays for vectorized passes.
+class PackedBatch:
+    """Sequences packed time-major, the one layout every CRF pass runs on.
 
-    Instances are stably sorted by length, longest first, so at every
-    time step the still-active sequences form a prefix of the batch.
-    Slot occurrences are kept twice, once grouped by position (emission
-    build) and once grouped by slot (gradient scatter), both as
-    reduceat segment lists.
+    Sequences are stably sorted longest first, so the ones still running
+    at step ``t`` are a prefix of the batch.  Position ``t`` of the
+    ``s``-th sorted sequence is row ``offset[t] + s``: step ``t`` owns the
+    contiguous rows ``offset[t] : offset[t] + active[t]``, and row
+    ``offset[t] + s`` continues row ``offset[t - 1] + s`` (the layout of
+    PyTorch's PackedSequence).  Every array has one row per position, so
+    memory is O(sum of lengths) however long the longest sequence is.
+
+    Slot occurrences are a rows-by-slots sparse matrix: emission scores
+    are ``features @ w_e`` and expected emission counts
+    ``features.T @ gamma``.  With ``gold`` labelings the batch also
+    holds the empirical feature counts the training objective needs.
     """
 
-    def __init__(self, registry: FeatureRegistry, instances: Sequence[TrainingInstance]):
-        order = sorted(range(len(instances)), key=lambda i: (-len(instances[i].gold), i))
-        self.order = order
-        self.instances = [instances[i] for i in order]
-        self.n = len(self.instances)
-        self.lengths = np.array([len(inst.gold) for inst in self.instances], dtype=np.intp)
-        self.l_max = int(self.lengths.max())
-        # number of active sequences at each time step t (length >= t+1)
-        self.active = np.array(
-            [int(np.searchsorted(-self.lengths, -(t + 1), side="right")) for t in range(self.l_max)],
-            dtype=np.intp,
+    def __init__(
+        self,
+        registry: FeatureRegistry,
+        sequences: Sequence[Sequence[FeatureVector]],
+        gold: Sequence[Sequence[str]] | None = None,
+    ):
+        if not sequences:
+            raise ValueError("cannot pack an empty batch")
+        self.n = len(sequences)
+        self.order = sorted(range(self.n), key=lambda i: (-len(sequences[i]), i))
+        self.lengths = np.array([len(sequences[i]) for i in self.order], dtype=np.intp)
+        if self.lengths[-1] == 0:
+            raise ValueError("cannot decode an empty sequence")
+        self.l_max = int(self.lengths[0])
+        steps = np.arange(1, self.l_max + 1)
+        self.active = np.searchsorted(-self.lengths, -steps, side="right")
+        self.offset = np.concatenate(([0], np.cumsum(self.active)[:-1]))
+        self.n_rows = int(self.lengths.sum())
+        # row offset[t] + s (t >= 1) continues row offset[t - 1] + s
+        self.prev_rows = np.arange(self.n, self.n_rows) - np.repeat(self.active[:-1], self.active[1:])
+        self.seq_of_row = np.arange(self.n_rows) - np.repeat(self.offset, self.active)
+
+        by_length = [sequences[i] for i in self.order]
+        indices: list[int] = []
+        indptr = [0]
+        for t, k in enumerate(self.active.tolist()):
+            for seq in by_length[:k]:
+                indices.extend(registry.slots_of(seq[t]))
+                indptr.append(len(indices))
+        self.features = scipy.sparse.csr_matrix(
+            (np.ones(len(indices)), np.asarray(indices, dtype=np.intp), np.asarray(indptr, dtype=np.intp)),
+            shape=(self.n_rows, registry.n_slots),
         )
 
-        rows: list[int] = []
-        slots: list[int] = []
-        gold_rows: list[int] = []
-        gold_labels: list[int] = []
-        empirical = np.zeros(registry.n_weights)
-        trans_base = registry.n_slots * N_LABELS
-        for s, inst in enumerate(self.instances):
-            prev = None
-            for t, (fv, lab) in enumerate(zip(inst.features, inst.gold)):
-                y = _LABEL_INDEX[lab]
-                gold_rows.append(s * self.l_max + t)
-                gold_labels.append(y)
-                for template_id, value in fv:
-                    slot = registry.slot(template_id, value)
-                    if slot is not None:
-                        rows.append(s * self.l_max + t)
-                        slots.append(slot)
-                        empirical[slot * N_LABELS + y] += 1.0
-                if prev is not None:
-                    empirical[trans_base + prev * N_LABELS + y] += 1.0
-                prev = y
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.slots = np.asarray(slots, dtype=np.intp)
-        self.gold_rows = np.asarray(gold_rows, dtype=np.intp)
-        self.gold_labels = np.asarray(gold_labels, dtype=np.intp)
-        self.empirical = empirical
-
-        # segment boundaries for row-ordered occurrences (already sorted)
-        self.row_starts = np.concatenate([[0], np.flatnonzero(np.diff(self.rows)) + 1]) if len(rows) else np.zeros(0, dtype=np.intp)
-        self.row_ids = self.rows[self.row_starts] if len(rows) else np.zeros(0, dtype=np.intp)
-        # occurrences re-sorted by slot for the gradient scatter
-        by_slot = np.argsort(self.slots, kind="stable")
-        self.slot_sorted = self.slots[by_slot]
-        self.rows_by_slot = self.rows[by_slot]
-        self.slot_starts = (
-            np.concatenate([[0], np.flatnonzero(np.diff(self.slot_sorted)) + 1])
-            if len(slots)
-            else np.zeros(0, dtype=np.intp)
-        )
-        self.slot_ids = self.slot_sorted[self.slot_starts] if len(slots) else np.zeros(0, dtype=np.intp)
-
-    def emission_matrix(self, w_e: np.ndarray) -> np.ndarray:
-        e = np.zeros((self.n * self.l_max, N_LABELS))
-        if len(self.rows):
-            gathered = w_e[self.slots]
-            e[self.row_ids] = np.add.reduceat(gathered, self.row_starts, axis=0)
-        return e.reshape(self.n, self.l_max, N_LABELS)
-
-    def forward_backward(self, w: np.ndarray, registry: FeatureRegistry):
-        """Log-domain alpha/beta over the whole batch.
-
-        Returns (log_z per instance, emission matrix, log_alpha,
-        log_beta); padded cells hold -inf so downstream exponentials
-        vanish there.
-        """
-        n_e = registry.n_slots * N_LABELS
-        w_e = w[:n_e].reshape(-1, N_LABELS)
-        w_t = w[n_e:].reshape(N_LABELS, N_LABELS)
-        e = self.emission_matrix(w_e)
-
-        log_alpha = np.full((self.n, self.l_max, N_LABELS), -np.inf)
-        log_alpha[:, 0, :] = e[:, 0, :]
-        for t in range(1, self.l_max):
-            k = self.active[t]
-            prev = log_alpha[:k, t - 1, :]
-            log_alpha[:k, t, :] = e[:k, t, :] + _logsumexp(
-                prev[:, :, None] + w_t[None, :, :], axis=1
+        if gold is not None:
+            labels = np.empty(self.n_rows, dtype=np.intp)
+            for s, i in enumerate(self.order):
+                labels[self.offset[: len(gold[i])] + s] = [_LABEL_INDEX[lab] for lab in gold[i]]
+            one_hot = np.eye(N_LABELS)[labels]
+            pairs = labels[self.prev_rows] * N_LABELS + labels[self.n :]
+            self.empirical = np.concatenate(
+                [
+                    (self.features.T @ one_hot).ravel(),
+                    np.bincount(pairs, minlength=N_LABELS * N_LABELS).astype(np.float64),
+                ]
             )
-        log_z = _logsumexp(log_alpha[np.arange(self.n), self.lengths - 1, :], axis=1)
 
-        log_beta = np.full((self.n, self.l_max, N_LABELS), -np.inf)
-        log_beta[np.arange(self.n), self.lengths - 1, :] = 0.0
+    def unpack(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Packed rows back to one array per sequence, in input order."""
+        out: list[np.ndarray] = [np.empty(0)] * self.n
+        for s, (i, length) in enumerate(zip(self.order, self.lengths.tolist())):
+            out[i] = packed[self.offset[:length] + s]
+        return out
+
+    def _step_tables(self) -> tuple[memoryview, memoryview]:
+        # indexing a memoryview yields Python ints, which slice faster than
+        # NumPy scalars, and unlike lists of ints they take 8 bytes a step
+        return memoryview(self.offset), memoryview(self.active)
+
+    def emissions(self, w_e: np.ndarray) -> np.ndarray:
+        return self.features @ w_e
+
+    def forward_backward(self, e: np.ndarray, w_t: np.ndarray):
+        """Scaled forward-backward over all rows.
+
+        Works on ``exp(e - rowmax)`` and ``exp(w_t - max(w_t))``, so no
+        factor exceeds one, and renormalizes every alpha and beta row to
+        sum to one, so no product can overflow however long the sequence.
+        ``log Z`` is recovered as the sum of the log row scales plus the
+        subtracted maxima.  A row scale is at least
+        ``exp(min(w_t) - max(w_t)) / 4``, so it underflows to zero only
+        when transition weights span hundreds of nats, and the caller
+        then reports a non-finite log Z or gradient.
+
+        Returns log Z per sorted sequence, the posterior marginals
+        (rows x labels) and the expected transition counts summed over
+        the batch (labels x labels).
+        """
+        shift = e.max(axis=1)
+        emit = np.exp(e - shift[:, None])
+        t_shift = w_t.max()
+        trans = np.exp(w_t - t_shift)
+        alpha = np.empty_like(emit)
+        scale = np.empty(self.n_rows)
+        n = self.n
+        # per step, np.dot beats @ and .sum on arrays this small
+        ones = np.ones(N_LABELS)
+        scale[:n] = emit[:n].sum(axis=1)
+        alpha[:n] = emit[:n] / scale[:n, None]
+        offset, active = self._step_tables()
+        for t in range(1, self.l_max):
+            prev_lo, lo, k = offset[t - 1], offset[t], active[t]
+            a = np.dot(alpha[prev_lo : prev_lo + k], trans) * emit[lo : lo + k]
+            c = np.dot(a, ones)
+            scale[lo : lo + k] = c
+            alpha[lo : lo + k] = a / c[:, None]
+        log_z = np.bincount(self.seq_of_row, np.log(scale) + shift, minlength=n)
+        log_z += (self.lengths - 1) * t_shift
+
+        # rows that end a sequence keep beta = 1
+        beta = np.ones_like(emit)
+        trans_t = trans.T.copy()  # contiguous: a transposed view takes a slower matmul path
         for t in range(self.l_max - 2, -1, -1):
-            k = self.active[t + 1]
-            if k == 0:
-                continue
-            nxt = e[:k, t + 1, :] + log_beta[:k, t + 1, :]
-            log_beta[:k, t, :] = _logsumexp(w_t[None, :, :] + nxt[:, None, :], axis=2)
-        return log_z, e, log_alpha, log_beta, w_t
+            lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
+            b = np.dot(emit[next_lo : next_lo + k] * beta[next_lo : next_lo + k], trans_t)
+            beta[lo : lo + k] = b / np.dot(b, ones)[:, None]
+
+        gamma = alpha * beta
+        norm = gamma.sum(axis=1)
+        gamma /= norm[:, None]
+        # xi for the pair (prev row, row) is alpha_prev(i) trans(i, j)
+        # emit(j) beta(j), whose total is scale * norm at the row
+        later = emit[n:] * beta[n:] / (scale[n:] * norm[n:])[:, None]
+        xi = trans * (alpha[self.prev_rows].T @ later)
+        return log_z, gamma, xi
+
+    def viterbi(self, e: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+        """Packed label ids of each sequence's highest-scoring labeling.
+
+        Ties resolve to the lexicographically smallest sequence under
+        B < M < E < S: the max recursion runs backward and the labels are
+        read out forward, each step taking the first label that still
+        attains the optimum.  Breaking ties at backpointers instead would
+        minimize late positions rather than early ones.
+        """
+        best = e.copy()
+        offset, active = self._step_tables()
+        for t in range(self.l_max - 2, -1, -1):
+            lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
+            best[lo : lo + k] += (w_t + best[next_lo : next_lo + k, None, :]).max(axis=2)
+        labels = np.empty(self.n_rows, dtype=np.intp)
+        labels[: self.n] = best[: self.n].argmax(axis=1)
+        for t in range(1, self.l_max):
+            prev_lo, lo, k = offset[t - 1], offset[t], active[t]
+            labels[lo : lo + k] = (w_t[labels[prev_lo : prev_lo + k]] + best[lo : lo + k]).argmax(axis=1)
+        return labels
+
+
+def _training_batch(registry: FeatureRegistry, instances: Sequence[TrainingInstance]) -> PackedBatch:
+    return PackedBatch(registry, [inst.features for inst in instances], [inst.gold for inst in instances])
 
 
 def log_likelihood_and_gradient(
-    model: CrfModel, instances: Sequence[TrainingInstance], batch: _CompiledBatch | None = None
+    model: CrfModel, instances: Sequence[TrainingInstance], batch: PackedBatch | None = None
 ) -> tuple[float, np.ndarray]:
     """L2-regularized mean log-likelihood of the gold labelings, with its
     exact gradient (expected minus empirical counts, plus the regularizer,
     all negated into maximization form)."""
     registry = model.registry
-    batch = batch or _CompiledBatch(registry, instances)
+    if batch is None:
+        batch = _training_batch(registry, instances)
     w = model.weights
-    log_z, e, log_alpha, log_beta, w_t = batch.forward_backward(w, registry)
-
+    log_z, gamma, xi = batch.forward_backward(
+        batch.emissions(model._emission_weights()), model._transition_weights()
+    )
     if not np.all(np.isfinite(log_z)):
-        bad = int(np.flatnonzero(~np.isfinite(log_z))[0])
-        raise TrainingError(
-            f"non-finite partition function for instance {batch.instances[bad].source_id!r}"
-        )
-
-    # posterior marginals; padded cells exp(-inf) = 0
-    gamma = np.exp(log_alpha + log_beta - log_z[:, None, None])
-    expected = np.zeros_like(w)
-    n_e = registry.n_slots * N_LABELS
-    if len(batch.rows):
-        gamma_flat = gamma.reshape(-1, N_LABELS)
-        gathered = gamma_flat[batch.rows_by_slot]
-        sums = np.add.reduceat(gathered, batch.slot_starts, axis=0)
-        expected_e = expected[:n_e].reshape(-1, N_LABELS)
-        expected_e[batch.slot_ids] += sums
-    if batch.l_max > 1:
-        xi_log = (
-            log_alpha[:, :-1, :, None]
-            + w_t[None, None, :, :]
-            + e[:, 1:, None, :]
-            + log_beta[:, 1:, None, :]
-            - log_z[:, None, None, None]
-        )
-        expected[n_e:] += np.exp(xi_log).sum(axis=(0, 1)).reshape(-1)
+        bad = batch.order[int(np.flatnonzero(~np.isfinite(log_z))[0])]
+        raise TrainingError(f"non-finite partition function for instance {instances[bad].source_id!r}")
+    expected = np.concatenate([(batch.features.T @ gamma).ravel(), xi.ravel()])
 
     n = batch.n
     gold_score = float(w @ batch.empirical)
@@ -412,8 +413,8 @@ def log_likelihood_and_gradient(
     l2 = model.config.l2
     objective = log_likelihood - 0.5 * l2 * float(w @ w)
     gradient = (batch.empirical - expected) / n - l2 * w
-    if not np.isfinite(objective):
-        raise TrainingError("non-finite objective")
+    if not (np.isfinite(objective) and np.all(np.isfinite(gradient))):
+        raise TrainingError("non-finite objective or gradient")
     return objective, gradient
 
 
@@ -449,12 +450,13 @@ def train(
     Deterministic: the registry is built in instance order, the start
     point is zero, and L-BFGS-B stops on relative objective change below
     ``config.tolerance`` or after ``config.max_iterations`` iterations.
+    How it stopped is recorded under ``manifest["optimizer"]``.
     """
     if not instances:
         raise TrainingError("no training instances")
     registry = build_registry(instances, config.feature_cutoff)
     model = CrfModel(registry, np.zeros(registry.n_weights), config, manifest)
-    batch = _CompiledBatch(registry, instances)
+    batch = _training_batch(registry, instances)
 
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
         model.weights = w
@@ -477,4 +479,11 @@ def train(
     if not np.all(np.isfinite(weights)):
         raise TrainingError("optimizer returned non-finite weights")
     model.weights = weights
+    # no wall times here: a rerun must write a byte-identical model
+    model.manifest["optimizer"] = {
+        "nit": int(result.nit),
+        "nfev": int(result.nfev),
+        "message": str(result.message),
+        "converged": bool(result.success),
+    }
     return model

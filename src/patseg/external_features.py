@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, ParseError, corpus_files
+from .corpus import Document, ParseError, corpus_files, read_lines
 
 NO_TAG = "<none>"
 ZERO_SIM = "zero"
@@ -50,21 +50,19 @@ def read_tagged_corpus(path: str | Path) -> list[TaggedDocument]:
         sentences: list[str] = []
         words: list[tuple[str, ...]] = []
         tags: list[tuple[str, ...]] = []
-        with open(p, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                ws, ts = [], []
-                for token in line.split(" "):
-                    word, sep, tag = token.rpartition("_")
-                    if not sep or not word or not tag:
-                        raise ParseError(f"{p}:{lineno}: token {token!r} is not of the form word_TAG")
-                    ws.append(word)
-                    ts.append(tag)
-                words.append(tuple(ws))
-                tags.append(tuple(ts))
-                sentences.append("".join(ws))
+        for lineno, line in enumerate(read_lines(p), start=1):
+            if not line:
+                continue
+            ws, ts = [], []
+            for token in line.split(" "):
+                word, sep, tag = token.rpartition("_")
+                if not sep or not word or not tag:
+                    raise ParseError(f"{p}:{lineno}: token {token!r} is not of the form word_TAG")
+                ws.append(word)
+                ts.append(tag)
+            words.append(tuple(ws))
+            tags.append(tuple(ts))
+            sentences.append("".join(ws))
         if sentences:
             docs.append(TaggedDocument(Document(p.stem, tuple(sentences), tuple(words)), tuple(tags)))
     return docs

@@ -9,13 +9,27 @@ from patseg.adaptation import (
     build_training,
     corpus_instances,
     decoding_features,
-    dense_augmentation,
     segment_document,
     slice_target,
 )
 from patseg.corpus import Document, LABELS
 from patseg.crf import TrainConfig, train
 from patseg.pipeline import FeatureExtractor
+
+
+def dense_augmentation(values, domain):
+    """The augmented vector materialized over the tripled feature space.
+
+    Layout is <common block, source block, target block> with "0" in the
+    block the domain does not own: the dense semantics the sparse
+    ``augment`` output is checked against.
+    """
+    if domain not in ("source", "target"):
+        raise ValueError(f"unknown domain {domain!r}")
+    zeros = ["0"] * len(values)
+    if domain == "source":
+        return list(values) + list(values) + zeros
+    return list(values) + zeros + list(values)
 
 
 def make_doc(doc_id, sentences_words):

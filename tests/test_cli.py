@@ -2,6 +2,7 @@ from click.testing import CliRunner
 
 from patseg.cli import main
 from patseg.corpus import read_corpus
+from patseg.crf import CrfModel
 
 
 def run(*args):
@@ -51,6 +52,20 @@ class TestTrain:
         first = (workspace / "out" / "model.crf").read_bytes()
         run("train", "--config", cfg_path(workspace))
         assert (workspace / "out" / "model.crf").read_bytes() == first
+
+    def test_optimizer_stop_is_recorded_and_cap_warned(self, workspace):
+        result = run("train", "--config", cfg_path(workspace))
+        assert "warning:" not in result.stderr
+        optimizer = CrfModel.load(workspace / "out" / "model.crf").manifest["optimizer"]
+        assert optimizer["converged"] and optimizer["nit"] < 150
+        assert optimizer["nfev"] >= optimizer["nit"]
+
+        result = run("train", "--config", cfg_path(workspace), "--set", "train.max_iterations=2")
+        assert result.exit_code == 0, result.output
+        assert "warning:training: stopped at max_iterations=2 before convergence" in result.stderr
+        optimizer = CrfModel.load(workspace / "out" / "model.crf").manifest["optimizer"]
+        assert optimizer["nit"] == 2 and not optimizer["converged"]
+        assert optimizer["message"]
 
     def test_full_feature_easy_pipeline(self, workspace):
         run("extract-knowledge", "--config", cfg_path(workspace))
@@ -130,6 +145,36 @@ class TestSegment:
         assert len(out_lines) == len(in_lines)
         for src, out in zip(in_lines, out_lines):
             assert out.replace(" ", "") == src
+
+    def test_unicode_line_separators_stay_inside_their_line(self, workspace):
+        """Form feed, U+0085 and U+2028 are characters, not line breaks, on
+        both the segment and the eval side."""
+        run("train", "--config", cfg_path(workspace))
+        gold_lines = ["干扰素 \x0c 很 好", "地板\u2028 好", "很 \x85大", "杆菌 大"]
+        raw, gold = workspace / "raw_sep", workspace / "gold_sep"
+        raw.mkdir()
+        gold.mkdir()
+        (raw / "a.txt").write_text(
+            "".join(ln.replace(" ", "") + "\n" for ln in gold_lines), encoding="utf-8"
+        )
+        (gold / "a.seg").write_text("".join(ln + "\n" for ln in gold_lines), encoding="utf-8")
+        result = run(
+            "segment",
+            "--model",
+            str(workspace / "out" / "model.crf"),
+            "--input",
+            str(raw),
+            "--output",
+            str(workspace / "pred_sep"),
+        )
+        assert result.exit_code == 0, result.output
+        out = (workspace / "pred_sep" / "a.seg").read_text(encoding="utf-8").split("\n")
+        assert out[-1] == "" and len(out) - 1 == len(gold_lines)
+        for line, ref in zip(out, gold_lines):
+            assert line.replace(" ", "") == ref.replace(" ", "")
+        result = run("eval", "--gold", str(gold), "--pred", str(workspace / "pred_sep"))
+        assert result.exit_code == 0, result.output
+        assert "f1 " in result.output
 
     def test_feature_group_mismatch_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,12 +35,33 @@ def random_model(rng, instances, l2=0.0, scale=1.0):
 
 
 def enumerate_scores(model, features):
-    """All 4^n labelings in lexicographic B<M<E<S order, with scores."""
+    """All 4^n labelings in lexicographic B<M<E<S order, with scores.
+
+    Scores every labeling at once from the model's weight blocks, with
+    the emission matrix summed slot by slot, independently of the CRF
+    core.
+    """
     n = len(features)
-    out = []
-    for seq in itertools.product(LABELS, repeat=n):
-        out.append((seq, model.score_sequence(features, seq)))
-    return out
+    reg = model.registry
+    k = len(LABELS)
+    w_e = model.weights[: reg.n_slots * k].reshape(-1, k)
+    w_t = model.weights[reg.n_slots * k :].reshape(k, k)
+    e = np.zeros((n, k))
+    for t, fv in enumerate(features):
+        for template_id, value in fv:
+            slot = reg.slot(template_id, value)
+            if slot is not None:
+                e[t] += w_e[slot]
+    seqs = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
+    scores = e[np.arange(n), seqs].sum(axis=1) + w_t[seqs[:, :-1], seqs[:, 1:]].sum(axis=1)
+    return [(tuple(LABELS[i] for i in seq), s) for seq, s in zip(seqs.tolist(), scores.tolist())]
+
+
+def enumeration_argmax(model, features):
+    """The lexicographically-first labeling among those of maximal score."""
+    scored = enumerate_scores(model, features)
+    best = max(s for _, s in scored)
+    return next(seq for seq, s in scored if s == best)
 
 
 class TestScoreSequence:
@@ -128,6 +150,24 @@ class TestViterbi:
             assert tuple(model.viterbi(list(inst.features))) == expected
 
 
+    def test_batched_viterbi_matches_enumeration_on_ragged_batches(self):
+        """One packed pass over mixed lengths decodes every sentence as the
+        per-sentence exhaustive argmax, ties included."""
+        rng = np.random.default_rng(14)
+        for trial in range(30):
+            lengths = rng.permutation([1, 2, 3, 5, 6, 6, 4])[: int(rng.integers(2, 8))]
+            if trial % 2:
+                instances = [random_instance(rng, int(n), n_templates=1, n_values=2) for n in lengths]
+                reg = build_registry(instances)
+                model = CrfModel(reg, rng.integers(-2, 3, reg.n_weights).astype(float))
+            else:
+                instances = [random_instance(rng, int(n)) for n in lengths]
+                model = random_model(rng, instances)
+            sentences = [list(inst.features) for inst in instances]
+            expected = [list(enumeration_argmax(model, feats)) for feats in sentences]
+            assert model.viterbi_batch(sentences) == expected
+
+
 class TestMarginalsAndPartition:
     def test_zero_weights_uniform(self):
         rng = np.random.default_rng(4)
@@ -209,6 +249,46 @@ class TestGradient:
                 op, _ = log_likelihood_and_gradient(CrfModel(reg, wp, cfg), instances)
                 om, _ = log_likelihood_and_gradient(CrfModel(reg, wm, cfg), instances)
                 assert abs((op - om) / (2 * eps) - grad[j]) < 1e-4
+
+    def test_matches_finite_differences_on_a_ragged_batch(self):
+        """Lengths {1, 2, 3, 5, 7} in one batch, in no particular order, so
+        the number of running sequences changes at every step."""
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            instances = [random_instance(rng, n) for n in (3, 7, 1, 5, 2)]
+            reg = build_registry(instances)
+            w0 = rng.normal(0.0, 0.5, reg.n_weights)
+            cfg = TrainConfig(l2=0.1)
+            _, grad = log_likelihood_and_gradient(CrfModel(reg, w0.copy(), cfg), instances)
+            eps = 1e-5
+            for j in range(reg.n_weights):
+                wp, wm = w0.copy(), w0.copy()
+                wp[j] += eps
+                wm[j] -= eps
+                op, _ = log_likelihood_and_gradient(CrfModel(reg, wp, cfg), instances)
+                om, _ = log_likelihood_and_gradient(CrfModel(reg, wm, cfg), instances)
+                assert abs((op - om) / (2 * eps) - grad[j]) < 1e-4
+
+    def test_memory_follows_positions_not_the_longest_sentence(self):
+        """Adding one 2,000-position sentence to 50 short ones raises the
+        objective's peak memory at most in proportion to the positions."""
+        rng = np.random.default_rng(16)
+        short = [random_instance(rng, 10) for _ in range(50)]
+        long = random_instance(rng, 2000)
+        reg = build_registry(short + [long])
+        model = CrfModel(reg, rng.normal(0.0, 0.5, reg.n_weights))
+
+        def peak(instances):
+            tracemalloc.start()
+            try:
+                log_likelihood_and_gradient(model, instances)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        positions = 10 * len(short)
+        ratio = (positions + len(long.gold)) / positions
+        assert peak(short + [long]) <= 1.2 * peak(short) * ratio
 
     def test_regularizer_terms(self):
         """Objective carries -(l2/2)||w||^2 and gradient carries -l2*w."""
