@@ -8,8 +8,11 @@ domain-specific copy, so shared regularities and domain-specific ones
 get separate weights.
 
 The easy expansion triples the feature space conceptually: a source
-vector x becomes <x, x, 0> and a target vector <x, 0, x>.  In the sparse
-entry representation the zero block simply has no entries.
+vector x becomes <x, x, 0> and a target vector <x, 0, x>.  On feature
+columns it renames templates only: every template ``t`` becomes the two
+namespaces ``COM:t`` and ``<domain>:t``, which share the one value
+column, and the zero block simply has no columns.  ``transit`` adds one
+``TRANSIT`` column of predicted labels.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 from .char_features import FeatureVector
 from .config import MODES, ConfigError
 from .corpus import Document, decode_bmes, encode_bmes
-from .crf import CrfModel, TrainConfig, TrainingInstance, train
+from .crf import CrfModel, FeatureColumns, TrainConfig, TrainingInstance, train
 from .pipeline import FeatureExtractor
 
 COMMON_PREFIX = "COM"
@@ -28,10 +31,15 @@ TARGET_DOMAIN = "target"
 TRANSIT_TEMPLATE = "TRANSIT"
 
 
-def augment(fv: FeatureVector, domain: str) -> FeatureVector:
-    """Expand each entry into its common and domain-specific copies."""
+def _check_domain(domain: str) -> None:
     if domain not in (SOURCE_DOMAIN, TARGET_DOMAIN):
         raise ValueError(f"unknown domain {domain!r}")
+
+
+def augment(fv: FeatureVector, domain: str) -> FeatureVector:
+    """Expand each entry into its common and domain-specific copies: the
+    per-position form of the easy namespaces."""
+    _check_domain(domain)
     out: FeatureVector = []
     for template_id, value in fv:
         out.append((f"{COMMON_PREFIX}:{template_id}", value))
@@ -39,15 +47,37 @@ def augment(fv: FeatureVector, domain: str) -> FeatureVector:
     return out
 
 
-def _with_transit_labels(
-    source_model: CrfModel, per_sentence: list[list[FeatureVector]]
-) -> list[list[FeatureVector]]:
-    """Append the source model's predicted label to every position."""
-    predicted = source_model.viterbi_batch(per_sentence)
-    return [
-        [fv + [(TRANSIT_TEMPLATE, lab)] for fv, lab in zip(rows, labels)]
-        for rows, labels in zip(per_sentence, predicted)
-    ]
+def _namespaced(columns: FeatureColumns, domain: str) -> FeatureColumns:
+    """The easy expansion of a document's columns for one domain."""
+    _check_domain(domain)
+    return FeatureColumns(
+        tuple(f"{ns}:{t}" for t in columns.templates for ns in (COMMON_PREFIX, domain)),
+        tuple(column for column in columns.columns for _ in range(2)),
+        columns.lengths,
+    )
+
+
+def _with_transit_labels(source_model: CrfModel, columns: FeatureColumns) -> FeatureColumns:
+    """Add the source model's predicted label at every position as a column."""
+    return FeatureColumns(
+        columns.templates + (TRANSIT_TEMPLATE,),
+        columns.columns + (source_model.decode(columns),),
+        columns.lengths,
+    )
+
+
+def _document_columns(
+    doc: Document,
+    extractor: FeatureExtractor,
+    domain: str | None = None,
+    transit_model: CrfModel | None = None,
+) -> FeatureColumns:
+    columns = extractor.document_columns(doc)
+    if transit_model is not None:
+        columns = _with_transit_labels(transit_model, columns)
+    if domain is not None:
+        columns = _namespaced(columns, domain)
+    return columns
 
 
 def _document_instances(
@@ -58,21 +88,11 @@ def _document_instances(
 ) -> list[TrainingInstance]:
     if doc.words is None:
         raise ValueError(f"document {doc.doc_id!r} is not segmented")
-    per_sentence = extractor.document_features(doc)
-    if transit_model is not None:
-        per_sentence = _with_transit_labels(transit_model, per_sentence)
-    instances = []
-    for si, (rows, words) in enumerate(zip(per_sentence, doc.words)):
-        if domain is not None:
-            rows = [augment(fv, domain) for fv in rows]
-        instances.append(
-            TrainingInstance(
-                features=tuple(rows),
-                gold=tuple(encode_bmes(words)),
-                source_id=f"{doc.doc_id}#{si}",
-            )
-        )
-    return instances
+    sentences = _document_columns(doc, extractor, domain, transit_model).sentences()
+    return [
+        TrainingInstance(features, tuple(encode_bmes(words)), f"{doc.doc_id}#{si}")
+        for si, (features, words) in enumerate(zip(sentences, doc.words))
+    ]
 
 
 def corpus_instances(
@@ -126,27 +146,35 @@ def build_training(
     return instances, None
 
 
+def _decoding_columns(
+    doc: Document,
+    extractor: FeatureExtractor,
+    mode: str,
+    source_model: CrfModel | None,
+) -> FeatureColumns:
+    if mode not in MODES:
+        raise ConfigError(f"unknown adaptation mode {mode!r}")
+    if mode == "transit":
+        if source_model is None:
+            raise ConfigError("transit decoding needs the auxiliary source model")
+        return _document_columns(doc, extractor, transit_model=source_model)
+    if mode == "easy":
+        return _document_columns(doc, extractor, TARGET_DOMAIN)
+    return extractor.document_columns(doc)
+
+
 def decoding_features(
     doc: Document,
     extractor: FeatureExtractor,
     mode: str = "target",
     source_model: CrfModel | None = None,
-) -> list[list[FeatureVector]]:
-    """Per-sentence feature vectors consistent with a mode's training space.
+) -> list[FeatureColumns]:
+    """Per-sentence features consistent with a mode's training space.
 
-    Easy-mode test data is augmented with the target tag; transit-mode
-    test data gets the source model's predicted labels.
+    Easy-mode test data gets the target namespaces; transit-mode test
+    data gets the source model's predicted labels.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown adaptation mode {mode!r}")
-    per_sentence = extractor.document_features(doc)
-    if mode == "transit":
-        if source_model is None:
-            raise ConfigError("transit decoding needs the auxiliary source model")
-        return _with_transit_labels(source_model, per_sentence)
-    if mode == "easy":
-        return [[augment(fv, TARGET_DOMAIN) for fv in rows] for rows in per_sentence]
-    return per_sentence
+    return _decoding_columns(doc, extractor, mode, source_model).sentences()
 
 
 def segment_document(
@@ -157,9 +185,13 @@ def segment_document(
     source_model: CrfModel | None = None,
 ) -> Document:
     """Decode every sentence of a document into words, in one batched pass."""
-    labels = model.viterbi_batch(decoding_features(doc, extractor, mode, source_model))
-    words = tuple(tuple(decode_bmes(sent, labs)) for sent, labs in zip(doc.sentences, labels))
-    return Document(doc.doc_id, doc.sentences, words)
+    labels = model.decode(_decoding_columns(doc, extractor, mode, source_model))
+    words = []
+    start = 0
+    for sent in doc.sentences:
+        words.append(tuple(decode_bmes(sent, labels[start : start + len(sent)])))
+        start += len(sent)
+    return Document(doc.doc_id, doc.sentences, tuple(words))
 
 
 def slice_target(docs: Sequence[Document], sizes: Sequence[int]) -> list[list[Document]]:

@@ -9,10 +9,15 @@ and T_iT_{i+1}, and the type skip bigram T_{i-1}T_{i+1}).
 Window positions that fall off the sentence contribute a reserved
 boundary token instead of dropping the template, so arity is constant at
 every position.
+
+:func:`cf_columns` gives the same values for a whole sentence at once,
+one column per template, as slices of the boundary-padded sentence;
+:func:`cf_features` is the per-position form.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
 from .corpus import CharType, classify_char
@@ -90,3 +95,39 @@ def cf_features(sentence: str, types: Sequence[CharType], i: int) -> FeatureVect
     entries.append(("TB[0,1]", _type_at(types, i) + _TYPE_JOIN + _type_at(types, i + 1)))
     entries.append(("TS[-1,1]", _type_at(types, i - 1) + _TYPE_JOIN + _type_at(types, i + 1)))
     return entries
+
+
+_PAD_BEFORE = [boundary_token(-2), boundary_token(-1)]
+_PAD_AFTER = [boundary_token(1), boundary_token(2)]
+
+# Every joined type bigram, boundary tokens included.
+_TYPE_BIGRAMS = {
+    a: {b: a + _TYPE_JOIN + b for b in [*(t.value for t in CharType), _PAD_AFTER[0]]}
+    for a in [*(t.value for t in CharType), _PAD_BEFORE[1]]
+}
+
+
+def cf_columns(sentence: str, types: list[str]) -> list[list[str]]:
+    """The 14 character-window columns of a sentence, in
+    ``CF_TEMPLATE_IDS`` order: row ``i`` of each column is the value
+    :func:`cf_features` gives that template at position ``i``.
+
+    ``types`` must be the type names (``CharType.value``) of the
+    sentence's characters.
+    """
+    n = len(sentence)
+    # chars[i + 2 + off] is C_{i+off}, a boundary token off the sentence
+    chars = [*_PAD_BEFORE, *sentence, *_PAD_AFTER]
+    unigrams = [chars[2 + off : 2 + off + n] for off in _UNIGRAM_OFFSETS]
+    bigrams = [
+        list(map(add, chars[2 + off : 2 + off + n], chars[3 + off : 3 + off + n])) for off in _BIGRAM_OFFSETS
+    ]
+    skip = list(map(add, chars[1 : 1 + n], chars[3 : 3 + n]))
+    # padded[i + 1 + off] is T_{i+off}
+    padded = [_PAD_BEFORE[1], *types, _PAD_AFTER[0]]
+    before, after = padded[:n], padded[2:]
+
+    def joined(left: list[str], right: list[str]) -> list[str]:
+        return [_TYPE_BIGRAMS[a][b] for a, b in zip(left, right)]
+
+    return [*unigrams, *bigrams, skip, types, joined(before, types), joined(types, after), joined(before, after)]

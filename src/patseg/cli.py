@@ -11,7 +11,6 @@ line to stderr and still succeeds.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import sys
@@ -22,9 +21,9 @@ import click
 
 from . import adaptation, evaluation
 from .config import ConfigError, RunConfig, config_as_dict, load_config, parse_config
-from .corpus import Document, ParseError, corpus_files, read_corpus, read_lines
+from .corpus import Document, ParseError, checksum, corpus_files, read_corpus, read_lines
 from .crf import CrfModel, TrainConfig, TrainingError, train as crf_train
-from .external_features import KnowledgeBase, archive_checksum, build_knowledge, read_tagged_corpus
+from .external_features import KnowledgeBase, build_knowledge, read_tagged_corpus
 from .pipeline import EXTERNAL_GROUPS, FeatureExtractor
 
 
@@ -63,16 +62,6 @@ def _load_run_config(config_path: str | None, overrides: tuple[str, ...]) -> Run
     return parse_config("", pairs)
 
 
-def _corpus_checksum(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    for p in corpus_files(path):
-        digest.update(p.name.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(p.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
 def _require(path: str, what: str) -> str:
     if not path:
         raise ConfigError(f"{what} is not configured")
@@ -92,7 +81,7 @@ def _load_knowledge(cfg: RunConfig, groups: tuple[str, ...]) -> tuple[KnowledgeB
     if not (EXTERNAL_GROUPS & set(groups)):
         return None, ""
     _require(cfg.knowledge, "knowledge archive")
-    return KnowledgeBase.load(cfg.knowledge), archive_checksum(cfg.knowledge)
+    return KnowledgeBase.load(cfg.knowledge), checksum(cfg.knowledge)
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -168,10 +157,10 @@ def cmd_train(config_path, overrides) -> None:
             raise ConfigError(f"target training corpus {cfg.target_train!r} is empty")
         knowledge, kb_checksum = _load_knowledge(cfg, cfg.groups)
         source_docs = None
-        checksums = {"target_train": _corpus_checksum(cfg.target_train)}
+        checksums = {"target_train": checksum(cfg.target_train)}
         if cfg.mode != "target":
             source_docs = _read_source_documents(cfg)
-            checksums["source"] = _corpus_checksum(cfg.source)
+            checksums["source"] = checksum(cfg.source)
         extractor = FeatureExtractor(cfg.groups, knowledge)
         train_config = _train_config(cfg)
         instances, source_model = adaptation.build_training(
@@ -239,8 +228,7 @@ def cmd_segment(model_path, input_path, output_path, knowledge_path, config_path
         if EXTERNAL_GROUPS & set(groups):
             if not knowledge_path:
                 raise ConfigError(f"model needs feature groups {sorted(EXTERNAL_GROUPS & set(groups))}; pass --knowledge")
-            checksum = archive_checksum(_require(knowledge_path, "knowledge archive"))
-            if checksum != manifest.get("knowledge_checksum"):
+            if checksum(_require(knowledge_path, "knowledge archive")) != manifest.get("knowledge_checksum"):
                 raise MismatchError(
                     "knowledge archive checksum does not match the one recorded at training time"
                 )

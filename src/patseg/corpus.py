@@ -12,6 +12,7 @@ alignments.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -191,14 +192,41 @@ def _read_document(path: Path, mode: str) -> Document | None:
     return Document(path.stem, tuple(sentences))
 
 
-def corpus_files(path: str | Path) -> list[Path]:
-    """Files of a corpus directory in lexicographic filename order."""
+def _files(path: str | Path) -> list[Path]:
     root = Path(path)
     if root.is_file():
         return [root]
     if not root.is_dir():
         raise FileNotFoundError(f"corpus location {root} does not exist")
     return sorted((p for p in root.iterdir() if p.is_file()), key=lambda p: p.name)
+
+
+def corpus_files(path: str | Path) -> list[Path]:
+    """Files of a corpus directory in lexicographic filename order.
+
+    A document id is a file's stem, so two files with the same stem
+    (``a.txt`` and ``a.md``) are rejected rather than one overwriting the
+    other downstream.
+    """
+    files = _files(path)
+    by_stem: dict[str, Path] = {}
+    for p in files:
+        other = by_stem.setdefault(p.stem, p)
+        if other is not p:
+            raise ValueError(f"files {other} and {p} have the same document id {p.stem!r}")
+    return files
+
+
+def checksum(path: str | Path) -> str:
+    """SHA-256 over the files of a directory (or over one file): each
+    file's name, NUL, bytes, NUL, in filename order."""
+    digest = hashlib.sha256()
+    for p in _files(path):
+        digest.update(p.name.encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(p.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def read_corpus(path: str | Path, mode: str = "segmented") -> list[Document]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 
 from .corpus import Document
 
@@ -58,8 +59,7 @@ def extract_lng(doc: Document) -> LngList:
     """
     level = Counter()
     for sent in doc.sentences:
-        for i in range(len(sent) - 1):
-            level[sent[i : i + 2]] += 1
+        level.update(map(add, sent, sent[1:]))
     survivors = {g for g, c in level.items() if c >= 2}
 
     kept: set[str] = set()
@@ -67,9 +67,9 @@ def extract_lng(doc: Document) -> LngList:
     while survivors:
         nxt = Counter()
         for sent in doc.sentences:
-            for i in range(len(sent) - n):
-                if sent[i : i + n] in survivors and sent[i + 1 : i + 1 + n] in survivors:
-                    nxt[sent[i : i + n + 1]] += 1
+            # repeats[i]: the n-gram starting at i survived
+            repeats = [sent[i : i + n] in survivors for i in range(len(sent) - n + 1)]
+            nxt.update(sent[i : i + n + 1] for i in range(len(sent) - n) if repeats[i] and repeats[i + 1])
         longer = {g for g, c in nxt.items() if c >= 2}
         absorbed = {g[:-1] for g in longer} | {g[1:] for g in longer}
         kept.update(survivors - absorbed)
@@ -95,6 +95,15 @@ def lng_label(doc: Document, lng: LngList, sentence_index: int, i: int) -> str:
     if ends:
         return "F"
     return "O"
+
+
+def lng_labels(sentence: str, lng: LngList) -> list[str]:
+    """:func:`lng_label` of every position of one sentence, each bigram
+    looked up once."""
+    bigrams = list(map(add, sentence, sentence[1:]))
+    starts = [*map(lng.starts_with, bigrams), False]
+    ends = [False, *map(lng.ends_with, bigrams)]
+    return ["OFST"[2 * s + e] for s, e in zip(starts, ends)]
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,11 @@ def score_documents(
     ref_vocab: set[str] | None = None,
 ) -> SegScore:
     """Score two aligned segmented corpora (matched by document id)."""
+    for side, docs in (("gold", gold_docs), ("predicted", pred_docs)):
+        ids = [d.doc_id for d in docs]
+        if len(set(ids)) != len(ids):
+            duplicate = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"{side} corpus holds document {duplicate!r} more than once")
     pred_by_id = {d.doc_id: d for d in pred_docs}
     gold_sentences: list[Sequence[str]] = []
     pred_sentences: list[Sequence[str]] = []

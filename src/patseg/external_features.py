@@ -13,7 +13,6 @@ written as ``word_TAG``; the tag follows the last underscore.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, ParseError, corpus_files, read_lines
+from .corpus import checksum as archive_checksum  # noqa: F401  (re-exported: an archive's checksum)
 
 NO_TAG = "<none>"
 ZERO_SIM = "zero"
@@ -236,6 +236,21 @@ def dict_feature(dictionary: set[str], sentence: str, i: int) -> int:
     return 0
 
 
+def dict_column(dictionary: set[str], sentence: str) -> list[str]:
+    """``str(dict_feature(...))`` of every position of a sentence, each
+    two- and three-character window looked up once."""
+    n = len(sentence)
+    hit2 = [sentence[k : k + 2] in dictionary for k in range(n - 1)]
+    hit3 = [sentence[k : k + 3] in dictionary for k in range(n - 2)]
+    # windows starting at i - 1 and i are two[i] and two[i + 1];
+    # those starting at i - 2, i - 1 and i are three[i : i + 3]
+    two = [False, *hit2, False]
+    three = [False, False, *hit3, False, False]
+    return [
+        "1" if three[i] or three[i + 1] or three[i + 2] or two[i] or two[i + 1] else "0" for i in range(n)
+    ]
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """The three source-corpus artifacts bundled for feature extraction."""
@@ -263,39 +278,50 @@ class KnowledgeBase:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":
+        """Read an archive written by :meth:`save`.
+
+        The first field of a ``cpos.tsv`` or ``sim.tsv`` line is exactly
+        one character, which may itself be a tab, followed by a tab.
+        """
         root = Path(path)
         lexicon: dict[str, str] = {}
-        with open(root / "cpos.tsv", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    char, tag = line.split("\t")
-                    lexicon[char] = tag
+        for _, char, tag in _keyed_lines(root / "cpos.tsv"):
+            lexicon[char] = tag
         with open(root / "dict.txt", encoding="utf-8") as fh:
             dictionary = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
-        with open(root / "sim.tsv", encoding="utf-8") as fh:
+        sim_path = root / "sim.tsv"
+        with open(sim_path, encoding="utf-8") as fh:
             header = fh.readline().split()
-            n, k = int(header[0]), int(header[1])
-            vocab: list[str] = []
-            vectors = np.zeros((n, k), dtype=np.float64)
-            for row, line in enumerate(fh):
-                char, cells = line.rstrip("\n").split("\t")
-                vocab.append(char)
-                vectors[row] = [float(x) for x in cells.split(" ")]
+        if len(header) != 2 or not all(h.isdigit() for h in header):
+            raise ParseError(f"{sim_path}:1: header is not 'rows dimension'")
+        n, k = int(header[0]), int(header[1])
+        vocab: list[str] = []
+        vectors = np.zeros((n, k), dtype=np.float64)
+        for where, char, cells in _keyed_lines(sim_path, skip=1):
+            if len(vocab) == n:
+                raise ParseError(f"{where}: more rows than the {n} the header declares")
+            try:
+                vectors[len(vocab)] = [float(x) for x in cells.split(" ")]
+            except ValueError as exc:
+                raise ParseError(f"{where}: expected {k} numbers") from exc
+            vocab.append(char)
+        if len(vocab) != n:
+            raise ParseError(f"{sim_path}: {len(vocab)} rows but the header declares {n}")
         return cls(lexicon, dictionary, SimilarityModel(vocab, vectors))
 
 
-def archive_checksum(path: str | Path) -> str:
-    """SHA-256 over the archive's file names and contents, order-stable."""
-    digest = hashlib.sha256()
-    root = Path(path)
-    for p in sorted(root.iterdir(), key=lambda q: q.name):
-        if p.is_file():
-            digest.update(p.name.encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(p.read_bytes())
-            digest.update(b"\0")
-    return digest.hexdigest()
+def _keyed_lines(path: Path, skip: int = 0):
+    """(``file:line``, character, rest) of every line ``<char>\\t<rest>``."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno <= skip:
+                continue
+            line = line[:-1] if line.endswith("\n") else line
+            if not line:
+                continue
+            if len(line) < 2 or line[1] != "\t":
+                raise ParseError(f"{path}:{lineno}: expected one character and a tab")
+            yield f"{path}:{lineno}", line[0], line[2:]
 
 
 def build_knowledge(tagged_source: list[TaggedDocument], k: int) -> KnowledgeBase:

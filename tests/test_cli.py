@@ -1,8 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from click.testing import CliRunner
 
+from patseg import crf
 from patseg.cli import main
 from patseg.corpus import read_corpus
 from patseg.crf import CrfModel
+from patseg.external_features import KnowledgeBase
 
 
 def run(*args):
@@ -30,6 +38,25 @@ class TestExtractKnowledge:
             p.name: p.read_bytes() for p in (workspace / "kb").iterdir()
         }
         assert first == second
+
+    def test_tab_character_in_the_source_round_trips(self, workspace):
+        """A tab is a one-character word like any other: the archive it
+        lands in loads again, and a model trained with it segments."""
+        (workspace / "source" / "s3.pos").write_text("\t_PU 中_NN 国_NN\n", encoding="utf-8")
+        result = run("extract-knowledge", "--config", cfg_path(workspace))
+        assert result.exit_code == 0, result.output
+        kb = KnowledgeBase.load(workspace / "kb")
+        assert kb.pos_lexicon["\t"] == "PU" and "\t" in kb.similarity
+        all_groups = ["--set", "features.groups=CF,C_POS,DICT,SIM"]
+        result = run("train", "--config", cfg_path(workspace), *all_groups)
+        assert result.exit_code == 0, result.output
+        (workspace / "raw" / "r1.txt").write_text("干扰素\t很好\n", encoding="utf-8")
+        result = run(
+            "segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+            "--output", str(workspace / "pred"), "--knowledge", str(workspace / "kb"),
+        )
+        assert result.exit_code == 0, result.output
+        assert (workspace / "pred" / "r1.seg").read_text(encoding="utf-8").replace(" ", "") == "干扰素\t很好\n"
 
     def test_oversized_k_rejected_naming_inventory(self, workspace):
         result = CliRunner().invoke(
@@ -176,6 +203,19 @@ class TestSegment:
         assert result.exit_code == 0, result.output
         assert "f1 " in result.output
 
+    def test_two_files_with_one_document_id_are_refused(self, workspace):
+        run("train", "--config", cfg_path(workspace))
+        (workspace / "raw" / "r1.md").write_text("地板好\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main,
+            ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+             "--output", str(workspace / "pred")],
+        )
+        assert result.exit_code == 1
+        assert "error:invalid:" in result.stderr
+        assert "r1.md" in result.stderr and "r1.txt" in result.stderr
+        assert not (workspace / "pred" / "r1.seg").exists()
+
     def test_feature_group_mismatch_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))
         result = CliRunner().invoke(
@@ -269,6 +309,53 @@ class TestEval:
         )
         assert result.exit_code == 1
         assert "error:" in result.stderr
+
+
+    def test_two_files_with_one_document_id_are_refused(self, workspace):
+        pred = workspace / "pred_dup"
+        pred.mkdir()
+        for name in ("t1.seg", "t1.txt", "t2.seg"):
+            (pred / name).write_bytes((workspace / "train" / name.replace(".txt", ".seg")).read_bytes())
+        result = CliRunner().invoke(main, ["eval", "--gold", str(workspace / "train"), "--pred", str(pred)])
+        assert result.exit_code == 1
+        assert "error:invalid:" in result.stderr
+        assert "t1.seg" in result.stderr and "t1.txt" in result.stderr
+
+
+class TestImports:
+    """Decoding and knowledge extraction never load the optimizer or the
+    sparse matrices, which only training uses."""
+
+    def modules_after(self, *args):
+        code = (
+            "import json, sys\n"
+            "from patseg.cli import main\n"
+            f"main({list(args)!r}, standalone_mode=False)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+    def test_segment_and_extract_knowledge_load_no_optimizer(self, workspace):
+        run("extract-knowledge", "--config", cfg_path(workspace))
+        all_groups = ["--set", "features.groups=CF,LNG,PKL,PMI,C_POS,DICT,SIM"]
+        assert run("train", "--config", cfg_path(workspace), *all_groups).exit_code == 0
+        for args in (
+            ["extract-knowledge", "--config", cfg_path(workspace)],
+            ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+             "--output", str(workspace / "pred"), "--knowledge", str(workspace / "kb")],
+        ):
+            loaded = self.modules_after(*args)
+            assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded, args[0]
+        assert (workspace / "pred" / "r1.seg").exists()
+
+    def test_train_loads_the_optimizer(self, workspace):
+        loaded = self.modules_after("train", "--config", cfg_path(workspace))
+        assert "scipy.optimize" in loaded and "scipy.sparse" in loaded
+        assert callable(crf.scipy.optimize.minimize)
 
 
 class TestCurve:

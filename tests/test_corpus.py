@@ -8,7 +8,9 @@ from patseg.corpus import (
     CharType,
     Document,
     ParseError,
+    checksum,
     classify_char,
+    corpus_files,
     decode_bmes,
     encode_bmes,
     read_corpus,
@@ -158,6 +160,18 @@ class TestReadCorpus:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ValueError):
             read_corpus(tmp_path, "conll")
+
+    def test_same_document_id_twice_is_rejected_naming_both(self, tmp_path):
+        (tmp_path / "a.txt").write_text("地板\n", encoding="utf-8")
+        (tmp_path / "a.md").write_text("很好\n", encoding="utf-8")
+        (tmp_path / "b.txt").write_text("好\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            corpus_files(tmp_path)
+        assert "a.md" in str(err.value) and "a.txt" in str(err.value)
+        with pytest.raises(ValueError):
+            read_corpus(tmp_path, "raw")
+        # the checksum of a directory of files needs no document ids
+        assert len(checksum(tmp_path)) == 64
 
     def test_write_round_trip(self, tmp_path):
         doc = Document("p1", ("地板很好",), (("地板", "很", "好"),))

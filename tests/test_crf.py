@@ -9,7 +9,9 @@ from patseg.corpus import LABELS, decode_bmes, encode_bmes
 from patseg.char_features import cf_features, char_types
 from patseg.crf import (
     CrfModel,
+    FeatureColumns,
     FeatureRegistry,
+    PackedBatch,
     TrainConfig,
     TrainingError,
     TrainingInstance,
@@ -166,6 +168,80 @@ class TestViterbi:
             sentences = [list(inst.features) for inst in instances]
             expected = [list(enumeration_argmax(model, feats)) for feats in sentences]
             assert model.viterbi_batch(sentences) == expected
+
+
+    def test_rows_of_ragged_arity_decode_as_the_enumeration(self):
+        """Rows with different templates, repeated templates and no entries
+        at all decode like the exhaustive argmax."""
+        rng = np.random.default_rng(17)
+        pool = [("t0", "a"), ("t0", "b"), ("t1", "a"), ("t2", "c"), ("t1", "zzz")]
+        for _ in range(30):
+            length = int(rng.integers(1, 7))
+            feats = [
+                [pool[int(j)] for j in rng.integers(0, len(pool), int(rng.integers(0, 4)))]
+                for _ in range(length)
+            ]
+            reg = FeatureRegistry()
+            for template_id, value in pool[:4]:
+                reg.add(template_id, value)
+            reg.frozen = True
+            model = CrfModel(reg, rng.normal(0.0, 1.0, reg.n_weights))
+            assert tuple(model.viterbi(feats)) == enumeration_argmax(model, feats)
+            assert model.viterbi_batch([feats, feats[:1]]) == [
+                list(enumeration_argmax(model, feats)), list(enumeration_argmax(model, feats[:1]))
+            ]
+
+
+class TestColumns:
+    def test_rows_round_trip_through_columns(self):
+        rows = [[("t", "a"), ("u", "b")], [], [("u", "c"), ("t", "d"), ("t", "e")]]
+        columns = FeatureColumns.from_rows(rows)
+        assert columns.templates == ("t", "u", "t")
+        assert list(columns) == [[("t", "a"), ("u", "b")], [], [("t", "d"), ("u", "c"), ("t", "e")]]
+        assert columns[2] == [("t", "d"), ("u", "c"), ("t", "e")]
+
+    def test_sentences_split_by_length(self):
+        columns = FeatureColumns(("t",), (["a", "b", "c"],), (2, 1))
+        assert [list(s) for s in columns.sentences()] == [[[("t", "a")], [("t", "b")]], [[("t", "c")]]]
+        with pytest.raises(ValueError):
+            FeatureColumns(("t",), (["a", "b"],), (3,))
+
+    def test_registry_from_columns_numbers_slots_as_from_rows(self):
+        """First-seen order over columns equals the order of registering
+        the rendered rows entry by entry, for every cutoff."""
+        rng = np.random.default_rng(18)
+        instances = [random_instance(rng, int(n), n_templates=4, n_values=5) for n in (3, 6, 1, 4)]
+        # rows of any arity, one template repeated within a row
+        instances.append(TrainingInstance(([("t", "b"), ("t", "a")], [("t", "a"), ("t", "b"), ("u", "c")]), ("S", "S")))
+        columnar = [
+            TrainingInstance(FeatureColumns.from_rows(inst.features), inst.gold, inst.source_id)
+            for inst in instances
+        ]
+        for cutoff in (1, 2, 3):
+            expected = FeatureRegistry()
+            counts = {}
+            for inst in instances:
+                for fv in inst.features:
+                    for key in fv:
+                        counts[key] = counts.get(key, 0) + 1
+            for key, c in counts.items():
+                if c >= cutoff:
+                    expected.add(*key)
+            assert build_registry(columnar, cutoff).slot_items() == expected.slot_items()
+            assert build_registry(instances, cutoff).slot_items() == expected.slot_items()
+
+    def test_gather_sum_equals_the_sparse_product_exactly(self):
+        """Decoding's gather-sum and training's sparse product give the
+        same floats, unregistered values included."""
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            instances = [random_instance(rng, int(n), n_templates=5, n_values=30) for n in rng.integers(1, 9, 6)]
+            reg = build_registry(instances[:3])
+            model = CrfModel(reg, rng.normal(0.0, 3.0, reg.n_weights))
+            runs = [FeatureColumns.from_rows(inst.features) for inst in instances]
+            batch = PackedBatch(reg.compile(runs), [len(r) for r in runs], reg.n_slots)
+            sparse = batch.features @ model._emission_weights()
+            assert np.array_equal(batch.emissions(model._emission_table()), sparse)
 
 
 class TestMarginalsAndPartition:

@@ -94,6 +94,14 @@ class TestScoreDocuments:
             score_documents(gold, [])
         assert "a" in str(err.value)
 
+    def test_duplicate_document_ids_are_rejected(self):
+        gold = [make_doc("a", [["好"]])]
+        twice = [make_doc("a", [["好"]]), make_doc("a", [["好"]])]
+        for g, p in ((gold, twice), (twice, gold)):
+            with pytest.raises(ValueError) as err:
+                score_documents(g, p)
+            assert "'a'" in str(err.value)
+
     def test_character_mismatch_names_document_and_line(self):
         gold = [make_doc("a", [["地板"], ["很", "好"]])]
         pred = [make_doc("a", [["地板"], ["好", "很"]])]

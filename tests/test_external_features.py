@@ -240,6 +240,44 @@ class TestKnowledgeArchive:
             loaded.similarity.vectors, kb.similarity.vectors, rtol=1e-8, atol=1e-12
         )
 
+    def test_round_trip_with_separator_characters(self, tmp_path):
+        """Tab, form feed and U+2028 are one-character keys like any other."""
+        odd = "\t\x0c\u2028"
+        kb = KnowledgeBase(
+            pos_lexicon={c: "PU" for c in odd} | {"x": "NN"},
+            dictionary={"x\t", "\x0cy", "x\u2028z"},
+            similarity=build_similarity(["x\ty", "\x0cyz", "z\u2028x", "\tz\x0c"], k=3),
+        )
+        kb.save(tmp_path / "kb")
+        loaded = KnowledgeBase.load(tmp_path / "kb")
+        assert loaded.pos_lexicon == kb.pos_lexicon
+        assert loaded.dictionary == kb.dictionary
+        assert loaded.similarity.vocab == kb.similarity.vocab
+        np.testing.assert_allclose(
+            loaded.similarity.vectors, kb.similarity.vectors, rtol=1e-8, atol=1e-12
+        )
+
+    def test_malformed_lines_are_parse_errors_naming_file_and_line(self, tmp_path):
+        self.make_kb().save(tmp_path / "kb")
+        cpos = tmp_path / "kb" / "cpos.tsv"
+        cpos.write_text("x\tNN\nxy\tVV\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert f"{cpos}:2" in str(err.value)
+
+    def test_sim_rows_must_match_the_header(self, tmp_path):
+        self.make_kb().save(tmp_path / "kb")
+        sim = tmp_path / "kb" / "sim.tsv"
+        lines = sim.read_text(encoding="utf-8").splitlines(keepends=True)
+        sim.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert str(sim) in str(err.value) and "header" in str(err.value)
+        sim.write_text("".join(lines + lines[-1:]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert f"{sim}:{len(lines) + 1}" in str(err.value)
+
     def test_archive_files_and_checksum_stability(self, tmp_path):
         kb = self.make_kb()
         kb.save(tmp_path / "a")
