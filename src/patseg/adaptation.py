@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .char_features import FeatureVector
 from .config import MODES, ConfigError
 from .corpus import Document, decode_bmes, encode_bmes
 from .crf import CrfModel, FeatureColumns, TrainConfig, TrainingInstance, train
@@ -36,11 +35,12 @@ def _check_domain(domain: str) -> None:
         raise ValueError(f"unknown domain {domain!r}")
 
 
-def augment(fv: FeatureVector, domain: str) -> FeatureVector:
-    """Expand each entry into its common and domain-specific copies: the
-    per-position form of the easy namespaces."""
+def augment(fv: list[tuple[str, str]], domain: str) -> list[tuple[str, str]]:
+    """Expand each entry of one row into its common and domain-specific
+    copies: the per-position form of the easy namespaces, which no
+    training or decoding path uses."""
     _check_domain(domain)
-    out: FeatureVector = []
+    out = []
     for template_id, value in fv:
         out.append((f"{COMMON_PREFIX}:{template_id}", value))
         out.append((f"{domain}:{template_id}", value))
@@ -61,7 +61,7 @@ def _with_transit_labels(source_model: CrfModel, columns: FeatureColumns) -> Fea
     """Add the source model's predicted label at every position as a column."""
     return FeatureColumns(
         columns.templates + (TRANSIT_TEMPLATE,),
-        columns.columns + (source_model.decode(columns),),
+        columns.columns + (source_model.viterbi(columns),),
         columns.lengths,
     )
 
@@ -185,7 +185,7 @@ def segment_document(
     source_model: CrfModel | None = None,
 ) -> Document:
     """Decode every sentence of a document into words, in one batched pass."""
-    labels = model.decode(_decoding_columns(doc, extractor, mode, source_model))
+    labels = model.viterbi(_decoding_columns(doc, extractor, mode, source_model))
     words = []
     start = 0
     for sent in doc.sentences:

@@ -10,9 +10,11 @@ Window positions that fall off the sentence contribute a reserved
 boundary token instead of dropping the template, so arity is constant at
 every position.
 
-:func:`cf_columns` gives the same values for a whole sentence at once,
-one column per template, as slices of the boundary-padded sentence;
-:func:`cf_features` is the per-position form.
+:func:`cf_columns` builds these values for a whole sentence at once, one
+column per template, as slices of the boundary-padded sentence; it is
+what feature extraction uses.  :func:`cf_features` builds the entries of
+one position, one at a time: no training or decoding path calls it, and
+it stays as the per-position definition the columns are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Sequence
 from .corpus import CharType, classify_char
 
 # One feature entry is a (template-id, value) pair; a feature vector is the
-# ordered list of entries for one character position.
+# ordered list of entries for one character position, the per-position
+# form of one row of feature columns.
 FeatureEntry = tuple[str, str]
 FeatureVector = list[FeatureEntry]
 

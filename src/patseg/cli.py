@@ -12,16 +12,14 @@ line to stderr and still succeeds.
 from __future__ import annotations
 
 import io
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import click
 
 from . import adaptation, evaluation
 from .config import ConfigError, RunConfig, config_as_dict, load_config, parse_config
-from .corpus import Document, ParseError, checksum, corpus_files, read_corpus, read_lines
+from .corpus import Document, ParseError, atomic_write, checksum, corpus_files, read_corpus, read_lines
 from .crf import CrfModel, TrainConfig, TrainingError, train as crf_train
 from .external_features import KnowledgeBase, build_knowledge, read_tagged_corpus
 from .pipeline import EXTERNAL_GROUPS, FeatureExtractor
@@ -82,19 +80,6 @@ def _load_knowledge(cfg: RunConfig, groups: tuple[str, ...]) -> tuple[KnowledgeB
         return None, ""
     _require(cfg.knowledge, "knowledge archive")
     return KnowledgeBase.load(cfg.knowledge), checksum(cfg.knowledge)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @click.group()
@@ -181,11 +166,9 @@ def cmd_train(config_path, overrides) -> None:
                 "before convergence",
                 err=True,
             )
-        out = Path(cfg.model)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        model.save(out)
+        model.save(cfg.model)
         if source_model is not None:
-            source_model.save(str(out) + ".source")
+            source_model.save(cfg.model + ".source")
         click.echo(f"model written to {cfg.model}")
     except Exception as exc:
         _fail(exc)
@@ -274,7 +257,7 @@ def cmd_eval(gold_path, pred_path, ref_path, report_path) -> None:
         if report_path:
             header = "precision,recall,f1,oov_recall\n"
             row = ",".join(cells[k] for k in ("precision", "recall", "f1", "oov_recall"))
-            _atomic_write(Path(report_path), header + row + "\n")
+            atomic_write(report_path, (header + row + "\n").encode("utf-8"))
     except Exception as exc:
         _fail(exc)
 
@@ -306,10 +289,10 @@ def cmd_curve(config_path, overrides) -> None:
         )
         report = io.StringIO()
         evaluation.write_curve_report(points, report)
-        _atomic_write(Path(cfg.report), report.getvalue())
+        atomic_write(cfg.report, report.getvalue().encode("utf-8"))
         plot = io.StringIO()
         evaluation.write_plot_data(points, plot)
-        _atomic_write(Path(cfg.report).with_suffix(".plot.tsv"), plot.getvalue())
+        atomic_write(Path(cfg.report).with_suffix(".plot.tsv"), plot.getvalue().encode("utf-8"))
         click.echo(f"curve report written to {cfg.report}")
     except Exception as exc:
         _fail(exc)

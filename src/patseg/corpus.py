@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -227,6 +228,27 @@ def checksum(path: str | Path) -> str:
         digest.update(p.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` by a file holding ``data``, or leave it as it was.
+
+    The bytes go to a new file beside the target, which then replaces it
+    in one rename; a failure removes the new file.  The file is created
+    by ``open``, so it gets the same permissions as any other file the
+    process creates.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_corpus(path: str | Path, mode: str = "segmented") -> list[Document]:

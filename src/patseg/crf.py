@@ -5,18 +5,16 @@ Feature semantics follow the usual CRF-toolkit convention: every discrete
 output labels to form indicator weights, plus the 16 label-to-label
 transition weights.  Unseen feature values score 0 at test time.
 
-Features reach the CRF as columns.  A :class:`FeatureColumns` holds, for a
-run of sentences, one value column per template; row ``r`` of every
-column is one character position.  The :class:`FeatureRegistry` keeps one
-value-to-slot dictionary per template (CRFsuite's attribute dictionaries),
-and compiling a batch maps each column through its template's dictionary
-once, giving a templates-by-rows matrix of integer slot ids in which the
-sentinel id ``n_slots`` stands for every unregistered value.  No
-(template-id, value) pair is formed per position when training or
-decoding.  Per-position entry lists (:data:`FeatureVector`, rows of any
-arity) are still accepted and converted to columns, and a FeatureColumns
-iterates as :class:`FeatureRow` views that form a row's pairs only when
-the row is read.
+Features reach the CRF in one form, :class:`FeatureColumns`: for a run of
+sentences, one value column per template, row ``r`` of every column
+being one character position.  The :class:`FeatureRegistry` keeps one
+value-to-slot dictionary per template (CRFsuite's attribute
+dictionaries); it is built once from the training instances and only
+read after that.  Compiling a batch maps each column through its
+template's dictionary once, giving a templates-by-rows matrix of integer
+slot ids in which the sentinel id ``n_slots`` stands for every
+unregistered value.  No (template-id, value) pair is formed per position
+when training or decoding.
 
 Training maximizes the L2-regularized mean log-likelihood with exact
 gradients from forward-backward.  The optimizer is a batch quasi-Newton
@@ -28,8 +26,9 @@ sequences stored time-major with one row per position, so memory is
 O(sum of lengths), not O(sequences x longest).  Over that layout run the
 only forward-backward (scaled domain, renormalized at every row, so
 sequences of any length cannot overflow) and the only Viterbi (additive
-max-product in the log domain).  The per-sentence methods of
-:class:`CrfModel` call the core with a batch of one.
+max-product in the log domain).  :meth:`CrfModel.viterbi`,
+:meth:`CrfModel.marginals` and :meth:`CrfModel.log_partition` take the
+columns of a whole run and pack all of its sentences into one batch.
 
 Decoding scores positions by a gather-sum over the slot-id matrix: the
 emission weights with a zero row appended for the sentinel, gathered
@@ -57,8 +56,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy
 
-from .char_features import FeatureEntry, FeatureVector
-from .corpus import LABELS
+from .corpus import LABELS, atomic_write
 
 N_LABELS = len(LABELS)
 _LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -87,8 +85,9 @@ class FeatureColumns:
     ``columns[j][r]`` is the value of template ``templates[j]`` at row
     ``r``; rows run through the sentences in order, ``lengths[s]`` rows
     for sentence ``s``.  Two templates may share one column object, and
-    a ``None`` value means the row has no entry for that template.  As a
-    sequence, a FeatureColumns is its rows, as :class:`FeatureRow` views.
+    a ``None`` value means the row has no entry for that template.
+    Iterating yields each row as a list of (template-id, value) pairs in
+    template order.
     """
 
     templates: tuple[str, ...]
@@ -102,39 +101,13 @@ class FeatureColumns:
         if any(len(c) != n_rows for c in self.columns):
             raise ValueError("columns not aligned to the sentence lengths")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[FeatureVector]) -> "FeatureColumns":
-        """One sentence given as per-position entry lists of any arity.
-
-        The k-th entry of template t in a row goes to the k-th column of
-        t; columns are ordered by first appearance, and rows without the
-        entry hold None there.
-        """
-        index: dict[tuple[str, int], int] = {}
-        templates: list[str] = []
-        columns: list[list[str | None]] = []
-        for r, fv in enumerate(rows):
-            occurrences: dict[str, int] = {}
-            for template_id, value in fv:
-                k = occurrences.get(template_id, 0)
-                occurrences[template_id] = k + 1
-                j = index.setdefault((template_id, k), len(columns))
-                if j == len(columns):
-                    templates.append(template_id)
-                    columns.append([None] * len(rows))
-                columns[j][r] = value
-        return cls(tuple(templates), tuple(columns), (len(rows),))
-
     def __len__(self) -> int:
         return sum(self.lengths)
 
-    def __getitem__(self, r: int) -> "FeatureRow":
-        return FeatureRow(self.templates, tuple(c[r] for c in self.columns))
-
-    def __iter__(self) -> Iterator["FeatureRow"]:
-        if not self.columns:
-            return (FeatureRow((), ()) for _ in range(len(self)))
-        return (FeatureRow(self.templates, values) for values in zip(*self.columns))
+    def __iter__(self) -> Iterator[list[tuple[str, str]]]:
+        templates = self.templates
+        rows = zip(*self.columns) if self.columns else itertools.repeat((), len(self))
+        return ([(t, v) for t, v in zip(templates, values) if v is not None] for values in rows)
 
     def sentences(self) -> list["FeatureColumns"]:
         """One FeatureColumns per sentence."""
@@ -144,49 +117,6 @@ class FeatureColumns:
             out.append(FeatureColumns(self.templates, tuple(c[start : start + n] for c in self.columns), (n,)))
             start += n
         return out
-
-
-class FeatureRow(Sequence[FeatureEntry]):
-    """One row of a FeatureColumns as a read-only feature vector: its
-    (template-id, value) entries in template order, formed only when the
-    row is read."""
-
-    __slots__ = ("_templates", "_values")
-
-    def __init__(self, templates: tuple[str, ...], values: tuple[str | None, ...]):
-        self._templates = templates
-        self._values = values
-
-    def _entries(self) -> FeatureVector:
-        return [(t, v) for t, v in zip(self._templates, self._values) if v is not None]
-
-    def __len__(self) -> int:
-        return len(self._values) - self._values.count(None)
-
-    def __getitem__(self, i):
-        return self._entries()[i]
-
-    def __iter__(self) -> Iterator[FeatureEntry]:
-        return iter(self._entries())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (FeatureRow, list, tuple)):
-            return self._entries() == list(other)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"FeatureRow({self._entries()!r})"
-
-
-def as_columns(features: FeatureColumns | Sequence[FeatureVector]) -> FeatureColumns:
-    """One sequence's features as columns holding a single sentence."""
-    if not isinstance(features, FeatureColumns):
-        return FeatureColumns.from_rows(features)
-    if len(features.lengths) == 1:
-        return features
-    return FeatureColumns(features.templates, features.columns, (len(features),))
 
 
 def _merge_runs(runs: Sequence[FeatureColumns]) -> list[FeatureColumns]:
@@ -206,14 +136,15 @@ def _merge_runs(runs: Sequence[FeatureColumns]) -> list[FeatureColumns]:
 
 @dataclass(frozen=True)
 class TrainingInstance:
-    """One sentence's features (columns, or per-position entry lists)
-    plus its gold BMES labels."""
+    """The columns of one sentence plus its gold BMES labels."""
 
-    features: FeatureColumns | Sequence[FeatureVector]
+    features: FeatureColumns
     gold: tuple[str, ...]
     source_id: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.features, FeatureColumns) or len(self.features.lengths) != 1:
+            raise ValueError(f"instance {self.source_id!r}: features must be the columns of one sentence")
         if len(self.features) != len(self.gold):
             raise ValueError(f"instance {self.source_id!r}: features/gold length mismatch")
         if not self.gold:
@@ -221,49 +152,22 @@ class TrainingInstance:
 
 
 class FeatureRegistry:
-    """Dense ids for emission and transition weights.
+    """Dense ids for emission and transition weights, read-only once built.
 
-    One dictionary per template maps a value to its slot.  Each slot owns
-    a block of four consecutive emission weights, one per label; the 16
-    transition weights sit after all emission blocks.  The id ``n_slots``
-    stands for any unregistered value.  The registry freezes when
-    training begins.
+    One dictionary per template maps a value to its slot; the slots of all
+    templates together are ``0 .. n_slots - 1``.  Each slot owns a block of
+    four consecutive emission weights, one per label; the 16 transition
+    weights sit after all emission blocks.  The id ``n_slots`` stands for
+    any unregistered value.
     """
 
-    def __init__(self) -> None:
-        self._slots: dict[str, dict[str, int]] = {}
-        self.n_slots = 0
-        self.frozen = False
+    def __init__(self, slots: dict[str, dict[str, int]]) -> None:
+        self._slots = slots
+        self.n_slots = sum(len(values) for values in slots.values())
 
     @property
     def n_weights(self) -> int:
         return self.n_slots * N_LABELS + N_LABELS * N_LABELS
-
-    def add(self, template_id: str, value: str) -> int:
-        if self.frozen:
-            raise ValueError("registry is frozen")
-        values = self._slots.setdefault(template_id, {})
-        if value not in values:
-            values[value] = self.n_slots
-            self.n_slots += 1
-        return values[value]
-
-    def slot(self, template_id: str, value: str) -> int | None:
-        values = self._slots.get(template_id)
-        return None if values is None else values.get(value)
-
-    def emission_index(self, template_id: str, value: str, label: str) -> int | None:
-        s = self.slot(template_id, value)
-        if s is None:
-            return None
-        return s * N_LABELS + _LABEL_INDEX[label]
-
-    def transition_index(self, prev_label: str, label: str) -> int:
-        return (
-            self.n_slots * N_LABELS
-            + _LABEL_INDEX[prev_label] * N_LABELS
-            + _LABEL_INDEX[label]
-        )
 
     def slot_items(self) -> list[tuple[tuple[str, str], int]]:
         """Every registered pair with its slot, in slot order."""
@@ -294,14 +198,12 @@ class FeatureRegistry:
 
     @classmethod
     def from_slot_list(cls, pairs: Sequence[tuple[str, str]]) -> "FeatureRegistry":
-        reg = cls()
+        """The registry whose slot ``s`` is the pair ``pairs[s]``."""
+        slots: dict[str, dict[str, int]] = {}
         for slot, (template_id, value) in enumerate(pairs):
-            values = reg._slots.setdefault(template_id, {})
-            if values.setdefault(value, slot) != slot:
+            if slots.setdefault(template_id, {}).setdefault(value, slot) != slot:
                 raise ValueError(f"slot list holds ({template_id!r}, {value!r}) twice")
-        reg.n_slots = len(pairs)
-        reg.frozen = True
-        return reg
+        return cls(slots)
 
 
 class CrfModel:
@@ -352,53 +254,28 @@ class CrfModel:
             self._table = np.vstack([self._emission_weights(), np.zeros((1, N_LABELS))])
         return self._table
 
-    def _scores(self, runs: Sequence[FeatureColumns]):
-        batch = PackedBatch(
-            self.registry.compile(runs), [n for run in runs for n in run.lengths], self.registry.n_slots
-        )
+    def _scores(self, columns: FeatureColumns):
+        batch = PackedBatch(self.registry.compile([columns]), columns.lengths, self.registry.n_slots)
         return batch, batch.emissions(self._emission_table()), self._transition_weights()
 
-    def _label_ids(self, runs: Sequence[FeatureColumns]) -> np.ndarray:
-        batch, e, w_t = self._scores(runs)
-        return batch.natural(batch.viterbi(e, w_t))
+    def viterbi(self, columns: FeatureColumns) -> list[str]:
+        """Highest-scoring labeling of every sentence of the run, in row
+        order, all decoded in one packed pass.  Ties resolve to the
+        lexicographically smallest sequence under B < M < E < S."""
+        batch, e, w_t = self._scores(columns)
+        return _LABEL_NAMES[batch.natural(batch.viterbi(e, w_t))].tolist()
 
-    def score_sequence(self, features: Sequence[FeatureVector], labels: Sequence[str]) -> float:
-        """Linear score of one labeling: emissions plus transitions."""
-        if len(features) != len(labels):
-            raise ValueError("features and labels differ in length")
-        _, e, w_t = self._scores([as_columns(features)])
-        idx = [_LABEL_INDEX[lab] for lab in labels]
-        score = float(e[np.arange(len(idx)), idx].sum())
-        score += float(sum(w_t[idx[t], idx[t + 1]] for t in range(len(idx) - 1)))
-        return score
+    def log_partition(self, columns: FeatureColumns) -> float:
+        """log Z of the run: the sum of its sentences' log partition
+        functions, since sentences are labeled independently."""
+        batch, e, w_t = self._scores(columns)
+        return float(batch.forward_backward(e, w_t)[0].sum())
 
-    def decode(self, columns: FeatureColumns) -> list[str]:
-        """Labels of every row of a run of sentences, in row order, each
-        sentence decoded as by :meth:`viterbi`, all in one packed pass."""
-        return _LABEL_NAMES[self._label_ids([columns])].tolist()
-
-    def viterbi_batch(self, sentences: Sequence[Sequence[FeatureVector]]) -> list[list[str]]:
-        """Highest-scoring labeling of every sentence, decoded in one
-        packed pass; see :meth:`PackedBatch.viterbi` for the tie rule."""
-        runs = [as_columns(s) for s in sentences]
-        labels = _LABEL_NAMES[self._label_ids(runs)]
-        bounds = np.cumsum([len(run) for run in runs])[:-1]
-        return [seq.tolist() for seq in np.split(labels, bounds)]
-
-    def viterbi(self, features: Sequence[FeatureVector]) -> list[str]:
-        """Highest-scoring labeling; ties resolve to the lexicographically
-        smallest sequence under B < M < E < S."""
-        return self.viterbi_batch([features])[0]
-
-    def log_partition(self, features: Sequence[FeatureVector]) -> float:
-        batch, e, w_t = self._scores([as_columns(features)])
-        return float(batch.forward_backward(e, w_t)[0][0])
-
-    def marginals(self, features: Sequence[FeatureVector]) -> np.ndarray:
-        """Per-position posterior over labels, each row summing to one."""
-        batch, e, w_t = self._scores([as_columns(features)])
-        # one sequence packs to its own position order
-        return batch.forward_backward(e, w_t)[1]
+    def marginals(self, columns: FeatureColumns) -> np.ndarray:
+        """Posterior over labels of every row of the run, in row order,
+        each row summing to one."""
+        batch, e, w_t = self._scores(columns)
+        return batch.natural(batch.forward_backward(e, w_t)[1])
 
     def save(self, path: str | Path) -> None:
         """Versioned container; round-trips bit-exactly.
@@ -423,22 +300,30 @@ class CrfModel:
             },
             "manifest": self.manifest,
         }
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=_PICKLE_PROTOCOL)
+        atomic_write(path, pickle.dumps(payload, protocol=_PICKLE_PROTOCOL))
 
     @classmethod
     def load(cls, path: str | Path) -> "CrfModel":
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("format") != "patseg-crf":
+        """Read a model written by :meth:`save`.  A file that is not one
+        raises ValueError naming it.  Loading unpickles, so load only
+        files from a trusted source."""
+        try:
+            with open(path, "rb") as fh:
+                payload = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError) as exc:
+            raise ValueError(f"{path} is not a readable model file: {exc}") from exc
+        if not isinstance(payload, dict) or payload.get("format") != "patseg-crf":
             raise ValueError(f"{path} is not a model file")
         if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model version {payload.get('version')}")
-        if tuple(payload["labels"]) != LABELS:
-            raise ValueError("model label set mismatch")
-        registry = FeatureRegistry.from_slot_list(payload["slots"])
-        config = TrainConfig(**payload["config"])
-        return cls(registry, payload["weights"], config, payload.get("manifest"))
+            raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
+        try:
+            if tuple(payload["labels"]) != LABELS:
+                raise ValueError("model label set mismatch")
+            registry = FeatureRegistry.from_slot_list(payload["slots"])
+            config = TrainConfig(**payload["config"])
+            return cls(registry, payload["weights"], config, payload.get("manifest"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed model file: {exc}") from exc
 
 
 class PackedBatch:
@@ -610,9 +495,8 @@ class PackedBatch:
 
 
 def _training_batch(registry: FeatureRegistry, instances: Sequence[TrainingInstance]) -> PackedBatch:
-    runs = [as_columns(inst.features) for inst in instances]
     gold = np.fromiter((_LABEL_INDEX[lab] for inst in instances for lab in inst.gold), dtype=np.intp)
-    return PackedBatch(registry.compile(runs), [len(inst.gold) for inst in instances], registry.n_slots, gold)
+    return PackedBatch(registry.compile([inst.features for inst in instances]), [len(inst.gold) for inst in instances], registry.n_slots, gold)
 
 
 def log_likelihood_and_gradient(
@@ -652,7 +536,7 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     Works a column at a time: the first row of each value comes from one
     dictionary built over its column, keyed ``row * width + entry``.
     """
-    blocks = _merge_runs([as_columns(inst.features) for inst in instances])
+    blocks = _merge_runs([inst.features for inst in instances])
     width = max((len(b.templates) for b in blocks), default=0)
     first: dict[str, dict[str, int]] = {}
     counts: dict[str, Counter] = {}
@@ -681,14 +565,12 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     flat = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
     slots = np.empty(len(flat), dtype=np.intp)
     slots[np.argsort(flat, kind="stable")] = np.arange(len(flat))
-    registry = FeatureRegistry()
+    per_template = {}
     lo = 0
     for template_id, seen in first.items():
-        registry._slots[template_id] = dict(zip(seen, slots[lo : lo + len(seen)].tolist()))
+        per_template[template_id] = dict(zip(seen, slots[lo : lo + len(seen)].tolist()))
         lo += len(seen)
-    registry.n_slots = len(flat)
-    registry.frozen = True
-    return registry
+    return FeatureRegistry(per_template)
 
 
 def train(

@@ -16,13 +16,8 @@ of the extractor.  The CRF maps every column through its template's
 dictionary to integer slot ids, so training and decoding never build a
 (template, value) pair per position.
 
-:meth:`FeatureExtractor.document_features` is the per-position view of
-the same columns: one FeatureColumns per sentence, whose rows read as
-feature vectors of (template-id, value) pairs, formed only when read.
-
-The shared feature-dump format: one line per character position with
-TAB-separated ``template-id=value`` pairs in template order, blank line
-between sentences.
+:meth:`FeatureExtractor.document_features` splits the same columns into
+one FeatureColumns per sentence, the unit of a training instance.
 """
 
 from __future__ import annotations
@@ -30,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 from . import doc_features, external_features
-from .char_features import CF_TEMPLATE_IDS, FeatureVector, cf_columns
+from .char_features import CF_TEMPLATE_IDS, cf_columns
 from .corpus import Document, classify_char
 from .crf import FeatureColumns
 from .external_features import KnowledgeBase
@@ -118,8 +113,7 @@ class FeatureExtractor:
         return FeatureColumns(templates, tuple(columns), tuple(lengths))
 
     def document_features(self, doc: Document) -> list[FeatureColumns]:
-        """Per-sentence features of one document; each sentence iterates
-        as its per-position feature vectors."""
+        """The columns of one document, split into its sentences."""
         return self.document_columns(doc).sentences()
 
     def _type_names(self, sent: str) -> list[str]:
@@ -158,13 +152,3 @@ def _bin_columns(bins: dict[doc_features.Position, int], lengths: Sequence[int])
         columns[si][i] = str(bin_id)
     return columns
 
-
-def write_feature_dump(fh: TextIO, sentence_features: Iterable[Sequence[FeatureVector]]) -> None:
-    """Write per-sentence features (FeatureColumns or lists of feature
-    vectors) in the shared dump format."""
-    for si, rows in enumerate(sentence_features):
-        if si:
-            fh.write("\n")
-        for fv in rows:
-            fh.write("\t".join(f"{t}={v}" for t, v in fv))
-            fh.write("\n")

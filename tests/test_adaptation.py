@@ -189,14 +189,11 @@ class TestEasyIsolation:
             if template_id.startswith("source:")
         }
         assert source_slots
+        slots = dict(model.registry.slot_items())
         for doc in target:
             for rows in decoding_features(doc, extractor, "easy"):
                 for fv in rows:
-                    touched = {
-                        model.registry.slot(t, v)
-                        for t, v in fv
-                        if model.registry.slot(t, v) is not None
-                    }
+                    touched = {slots[key] for key in fv if key in slots}
                     assert touched.isdisjoint(source_slots)
 
 

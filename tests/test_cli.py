@@ -1,9 +1,11 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from patseg import crf
@@ -216,6 +218,19 @@ class TestSegment:
         assert "r1.md" in result.stderr and "r1.txt" in result.stderr
         assert not (workspace / "pred" / "r1.seg").exists()
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "list"])
+    def test_bad_model_file_is_an_invalid_error(self, workspace, damage):
+        run("train", "--config", cfg_path(workspace))
+        model = workspace / "out" / "model.crf"
+        data = model.read_bytes()
+        model.write_bytes({"truncated": data[: len(data) // 2], "empty": b"", "list": pickle.dumps([1, 2])}[damage])
+        result = CliRunner().invoke(
+            main, ["segment", "--model", str(model), "--input", str(workspace / "raw"),
+                   "--output", str(workspace / "pred")],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:invalid: ") and str(model) in result.stderr
+
     def test_feature_group_mismatch_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))
         result = CliRunner().invoke(
@@ -298,6 +313,22 @@ class TestEval:
         text = (workspace / "out" / "eval.csv").read_text(encoding="utf-8")
         assert text.splitlines()[0] == "precision,recall,f1,oov_recall"
         assert text.splitlines()[1] == "100.00,100.00,100.00,n/a"
+
+    def test_report_file_gets_the_mode_open_gives(self, workspace):
+        """The report is created under the umask, like any file the
+        process makes with open, not with a private 0600 mode."""
+        out = workspace / "out"
+        out.mkdir()
+        old_umask = os.umask(0o022)
+        try:
+            result = run("eval", "--gold", str(workspace / "train"), "--pred", str(workspace / "train"),
+                         "--report", str(out / "eval.csv"))
+            with open(out / "plain.txt", "w", encoding="utf-8"):
+                pass
+        finally:
+            os.umask(old_umask)
+        assert result.exit_code == 0, result.output
+        assert (out / "eval.csv").stat().st_mode == (out / "plain.txt").stat().st_mode
 
     def test_misalignment_is_an_error(self, workspace):
         bad = workspace / "bad"

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patseg import corpus
 from patseg.corpus import (
     CharType,
     Document,
     ParseError,
+    atomic_write,
     checksum,
     classify_char,
     corpus_files,
@@ -177,3 +179,25 @@ class TestReadCorpus:
         doc = Document("p1", ("地板很好",), (("地板", "很", "好"),))
         write_segmented_corpus([doc], tmp_path / "out")
         assert read_corpus(tmp_path / "out", "segmented") == [doc]
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file(self, tmp_path):
+        path = tmp_path / "sub" / "f.bin"
+        atomic_write(path, b"one")
+        atomic_write(path, b"two")
+        assert path.read_bytes() == b"two"
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_failed_replace_keeps_the_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.bin"
+        atomic_write(path, b"old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(corpus.os, "replace", fail)
+        with pytest.raises(OSError):
+            atomic_write(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [path]

@@ -1,10 +1,13 @@
 import itertools
 import math
+import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from patseg import corpus
 from patseg.corpus import LABELS, decode_bmes, encode_bmes
 from patseg.char_features import cf_features, char_types
 from patseg.crf import (
@@ -20,14 +23,16 @@ from patseg.crf import (
     train,
 )
 
+from _reference import columns_from_rows, emission_index, instance, run_of, transition_index
+
 
 def random_instance(rng, length, n_templates=3, n_values=4):
-    feats = tuple(
+    feats = [
         [(f"t{j}", f"v{rng.integers(n_values)}") for j in range(n_templates)]
         for _ in range(length)
-    )
+    ]
     gold = tuple(str(rng.choice(LABELS)) for _ in range(length))
-    return TrainingInstance(feats, gold, source_id=f"rand-{length}")
+    return instance(feats, gold, f"rand-{length}")
 
 
 def random_model(rng, instances, l2=0.0, scale=1.0):
@@ -37,7 +42,8 @@ def random_model(rng, instances, l2=0.0, scale=1.0):
 
 
 def enumerate_scores(model, features):
-    """All 4^n labelings in lexicographic B<M<E<S order, with scores.
+    """All 4^n labelings of per-position rows in lexicographic B<M<E<S
+    order, with scores.
 
     Scores every labeling at once from the model's weight blocks, with
     the emission matrix summed slot by slot, independently of the CRF
@@ -45,13 +51,14 @@ def enumerate_scores(model, features):
     """
     n = len(features)
     reg = model.registry
+    slots = dict(reg.slot_items())
     k = len(LABELS)
     w_e = model.weights[: reg.n_slots * k].reshape(-1, k)
     w_t = model.weights[reg.n_slots * k :].reshape(k, k)
     e = np.zeros((n, k))
     for t, fv in enumerate(features):
         for template_id, value in fv:
-            slot = reg.slot(template_id, value)
+            slot = slots.get((template_id, value))
             if slot is not None:
                 e[t] += w_e[slot]
     seqs = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
@@ -66,45 +73,64 @@ def enumeration_argmax(model, features):
     return next(seq for seq, s in scored if s == best)
 
 
+def enumerated_marginals(model, features):
+    """Per-position label posteriors summed over all 4^n labelings."""
+    scored = enumerate_scores(model, features)
+    scores = np.array([s for _, s in scored])
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
+    brute = np.zeros((len(features), len(LABELS)))
+    for (seq, _), p in zip(scored, probs):
+        for t, lab in enumerate(seq):
+            brute[t, LABELS.index(lab)] += p
+    return brute
+
+
+def enumerated_log_partition(model, features):
+    scores = np.array([s for _, s in enumerate_scores(model, features)])
+    m = scores.max()
+    return m + math.log(np.exp(scores - m).sum())
+
+
 class TestScoreSequence:
+    """Hand sums of labeling scores against :func:`enumerate_scores`, the
+    oracle the Viterbi, marginal and log Z tests compare with."""
+
     def test_all_zero_weights(self):
         rng = np.random.default_rng(0)
         inst = random_instance(rng, 3)
         reg = build_registry([inst])
         model = CrfModel(reg, np.zeros(reg.n_weights))
-        for seq in itertools.product(LABELS, repeat=3):
-            assert model.score_sequence(list(inst.features), seq) == 0.0
+        scored = enumerate_scores(model, list(inst.features))
+        assert [seq for seq, _ in scored] == list(itertools.product(LABELS, repeat=3))
+        assert all(s == 0.0 for _, s in scored)
 
     def test_single_position_single_feature(self):
-        reg = FeatureRegistry()
-        reg.add("t", "v")
-        reg.frozen = True
+        reg = FeatureRegistry.from_slot_list([("t", "v")])
         weights = np.zeros(reg.n_weights)
-        weights[reg.emission_index("t", "v", "S")] = 2.0
+        weights[emission_index(reg, "t", "v", "S")] = 2.0
         model = CrfModel(reg, weights)
-        assert model.score_sequence([[("t", "v")]], ["S"]) == 2.0
+        assert dict(enumerate_scores(model, [[("t", "v")]]))[("S",)] == 2.0
 
     def test_length_two_hand_sum(self):
-        reg = FeatureRegistry()
-        reg.add("t", "a")
-        reg.add("t", "b")
-        reg.frozen = True
+        reg = FeatureRegistry.from_slot_list([("t", "a"), ("t", "b")])
         weights = np.zeros(reg.n_weights)
-        weights[reg.emission_index("t", "a", "B")] = 1.5
-        weights[reg.emission_index("t", "b", "E")] = -0.25
-        weights[reg.transition_index("B", "E")] = 3.0
+        weights[emission_index(reg, "t", "a", "B")] = 1.5
+        weights[emission_index(reg, "t", "b", "E")] = -0.25
+        weights[transition_index(reg, "B", "E")] = 3.0
         model = CrfModel(reg, weights)
-        got = model.score_sequence([[("t", "a")], [("t", "b")]], ["B", "E"])
+        got = dict(enumerate_scores(model, [[("t", "a")], [("t", "b")]]))[("B", "E")]
         assert got == pytest.approx(1.5 - 0.25 + 3.0)
 
     def test_unregistered_features_contribute_zero(self):
-        reg = FeatureRegistry()
-        reg.add("t", "a")
-        reg.frozen = True
+        reg = FeatureRegistry.from_slot_list([("t", "a")])
         model = CrfModel(reg, np.ones(reg.n_weights))
-        known = model.score_sequence([[("t", "a")]], ["B"])
-        with_unknown = model.score_sequence([[("t", "a"), ("t", "zzz")]], ["B"])
-        assert known == with_unknown
+        known, with_unknown = [[("t", "a")]], [[("t", "a"), ("t", "zzz")]]
+        assert enumerate_scores(model, known) == enumerate_scores(model, with_unknown)
+        # the CRF core scores them alike too
+        known, with_unknown = columns_from_rows(known), columns_from_rows(with_unknown)
+        assert model.log_partition(known) == model.log_partition(with_unknown)
+        assert np.array_equal(model.marginals(known), model.marginals(with_unknown))
 
 
 class TestViterbi:
@@ -113,16 +139,14 @@ class TestViterbi:
         inst = random_instance(rng, 5)
         reg = build_registry([inst])
         model = CrfModel(reg, np.zeros(reg.n_weights))
-        assert model.viterbi(list(inst.features)) == ["B"] * 5
+        assert model.viterbi(inst.features) == ["B"] * 5
 
     def test_transition_dominance(self):
-        reg = FeatureRegistry()
-        reg.add("t", "v")
-        reg.frozen = True
+        reg = FeatureRegistry.from_slot_list([("t", "v")])
         weights = np.zeros(reg.n_weights)
-        weights[reg.transition_index("S", "S")] = 10.0
+        weights[transition_index(reg, "S", "S")] = 10.0
         model = CrfModel(reg, weights)
-        feats = [[("t", "v")]] * 3
+        feats = columns_from_rows([[("t", "v")]] * 3)
         assert model.viterbi(feats) == ["S", "S", "S"]
 
     def test_matches_enumeration_on_random_models(self):
@@ -135,7 +159,7 @@ class TestViterbi:
             scored = enumerate_scores(model, list(inst.features))
             best = max(s for _, s in scored)
             expected = next(seq for seq, s in scored if s == best)
-            assert tuple(model.viterbi(list(inst.features))) == expected
+            assert tuple(model.viterbi(inst.features)) == expected
 
     def test_tie_break_with_integer_weights(self):
         """Exact ties resolve to the earliest sequence in B<M<E<S order."""
@@ -149,12 +173,12 @@ class TestViterbi:
             scored = enumerate_scores(model, list(inst.features))
             best = max(s for _, s in scored)
             expected = next(seq for seq, s in scored if s == best)
-            assert tuple(model.viterbi(list(inst.features))) == expected
+            assert tuple(model.viterbi(inst.features)) == expected
 
 
     def test_batched_viterbi_matches_enumeration_on_ragged_batches(self):
-        """One packed pass over mixed lengths decodes every sentence as the
-        per-sentence exhaustive argmax, ties included."""
+        """One packed pass over a run of mixed lengths decodes every
+        sentence as the per-sentence exhaustive argmax, ties included."""
         rng = np.random.default_rng(14)
         for trial in range(30):
             lengths = rng.permutation([1, 2, 3, 5, 6, 6, 4])[: int(rng.integers(2, 8))]
@@ -166,8 +190,8 @@ class TestViterbi:
                 instances = [random_instance(rng, int(n)) for n in lengths]
                 model = random_model(rng, instances)
             sentences = [list(inst.features) for inst in instances]
-            expected = [list(enumeration_argmax(model, feats)) for feats in sentences]
-            assert model.viterbi_batch(sentences) == expected
+            expected = [lab for feats in sentences for lab in enumeration_argmax(model, feats)]
+            assert model.viterbi(run_of(sentences)) == expected
 
 
     def test_rows_of_ragged_arity_decode_as_the_enumeration(self):
@@ -181,24 +205,31 @@ class TestViterbi:
                 [pool[int(j)] for j in rng.integers(0, len(pool), int(rng.integers(0, 4)))]
                 for _ in range(length)
             ]
-            reg = FeatureRegistry()
-            for template_id, value in pool[:4]:
-                reg.add(template_id, value)
-            reg.frozen = True
+            reg = FeatureRegistry.from_slot_list(pool[:4])
             model = CrfModel(reg, rng.normal(0.0, 1.0, reg.n_weights))
-            assert tuple(model.viterbi(feats)) == enumeration_argmax(model, feats)
-            assert model.viterbi_batch([feats, feats[:1]]) == [
-                list(enumeration_argmax(model, feats)), list(enumeration_argmax(model, feats[:1]))
+            assert tuple(model.viterbi(columns_from_rows(feats))) == enumeration_argmax(model, feats)
+            assert model.viterbi(run_of([feats, feats[:1]])) == [
+                *enumeration_argmax(model, feats), *enumeration_argmax(model, feats[:1])
             ]
 
 
 class TestColumns:
     def test_rows_round_trip_through_columns(self):
         rows = [[("t", "a"), ("u", "b")], [], [("u", "c"), ("t", "d"), ("t", "e")]]
-        columns = FeatureColumns.from_rows(rows)
+        columns = columns_from_rows(rows)
         assert columns.templates == ("t", "u", "t")
         assert list(columns) == [[("t", "a"), ("u", "b")], [], [("t", "d"), ("u", "c"), ("t", "e")]]
-        assert columns[2] == [("t", "d"), ("u", "c"), ("t", "e")]
+        assert list(columns_from_rows([[], []])) == [[], []]
+
+    def test_training_instance_holds_the_columns_of_one_sentence(self):
+        rows = [[("t", "a")], [("t", "b")]]
+        TrainingInstance(columns_from_rows(rows), ("B", "E"))
+        with pytest.raises(ValueError):
+            TrainingInstance(columns_from_rows(rows, (1, 1)), ("S", "S"))
+        with pytest.raises(ValueError):
+            TrainingInstance(rows, ("B", "E"))
+        with pytest.raises(ValueError):
+            TrainingInstance(columns_from_rows(rows), ("S",))
 
     def test_sentences_split_by_length(self):
         columns = FeatureColumns(("t",), (["a", "b", "c"],), (2, 1))
@@ -210,25 +241,19 @@ class TestColumns:
         """First-seen order over columns equals the order of registering
         the rendered rows entry by entry, for every cutoff."""
         rng = np.random.default_rng(18)
-        instances = [random_instance(rng, int(n), n_templates=4, n_values=5) for n in (3, 6, 1, 4)]
+        sentences = [list(random_instance(rng, int(n), n_templates=4, n_values=5).features) for n in (3, 6, 1, 4)]
         # rows of any arity, one template repeated within a row
-        instances.append(TrainingInstance(([("t", "b"), ("t", "a")], [("t", "a"), ("t", "b"), ("u", "c")]), ("S", "S")))
-        columnar = [
-            TrainingInstance(FeatureColumns.from_rows(inst.features), inst.gold, inst.source_id)
-            for inst in instances
-        ]
+        sentences.append([[("t", "b"), ("t", "a")], [("t", "a"), ("t", "b"), ("u", "c")]])
+        instances = [instance(rows, ("S",) * len(rows)) for rows in sentences]
+        counts = Counter(key for rows in sentences for fv in rows for key in fv)
         for cutoff in (1, 2, 3):
-            expected = FeatureRegistry()
-            counts = {}
-            for inst in instances:
-                for fv in inst.features:
+            expected: dict[tuple[str, str], int] = {}
+            for rows in sentences:
+                for fv in rows:
                     for key in fv:
-                        counts[key] = counts.get(key, 0) + 1
-            for key, c in counts.items():
-                if c >= cutoff:
-                    expected.add(*key)
-            assert build_registry(columnar, cutoff).slot_items() == expected.slot_items()
-            assert build_registry(instances, cutoff).slot_items() == expected.slot_items()
+                        if counts[key] >= cutoff:
+                            expected.setdefault(key, len(expected))
+            assert build_registry(instances, cutoff).slot_items() == list(expected.items())
 
     def test_gather_sum_equals_the_sparse_product_exactly(self):
         """Decoding's gather-sum and training's sparse product give the
@@ -238,7 +263,7 @@ class TestColumns:
             instances = [random_instance(rng, int(n), n_templates=5, n_values=30) for n in rng.integers(1, 9, 6)]
             reg = build_registry(instances[:3])
             model = CrfModel(reg, rng.normal(0.0, 3.0, reg.n_weights))
-            runs = [FeatureColumns.from_rows(inst.features) for inst in instances]
+            runs = [inst.features for inst in instances]
             batch = PackedBatch(reg.compile(runs), [len(r) for r in runs], reg.n_slots)
             sparse = batch.features @ model._emission_weights()
             assert np.array_equal(batch.emissions(model._emission_table()), sparse)
@@ -250,7 +275,7 @@ class TestMarginalsAndPartition:
         inst = random_instance(rng, 4)
         reg = build_registry([inst])
         model = CrfModel(reg, np.zeros(reg.n_weights))
-        np.testing.assert_allclose(model.marginals(list(inst.features)), 0.25)
+        np.testing.assert_allclose(model.marginals(inst.features), 0.25)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(5)
@@ -258,22 +283,14 @@ class TestMarginalsAndPartition:
             length = int(rng.integers(1, 7))
             inst = random_instance(rng, length)
             model = random_model(rng, [inst])
-            feats = list(inst.features)
-            scored = enumerate_scores(model, feats)
-            scores = np.array([s for _, s in scored])
-            probs = np.exp(scores - scores.max())
-            probs /= probs.sum()
-            brute = np.zeros((length, len(LABELS)))
-            for (seq, _), p in zip(scored, probs):
-                for t, lab in enumerate(seq):
-                    brute[t, LABELS.index(lab)] += p
-            np.testing.assert_allclose(model.marginals(feats), brute, atol=1e-9)
+            brute = enumerated_marginals(model, list(inst.features))
+            np.testing.assert_allclose(model.marginals(inst.features), brute, atol=1e-9)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
         inst = random_instance(rng, 9)
         model = random_model(rng, [inst], scale=3.0)
-        marg = model.marginals(list(inst.features))
+        marg = model.marginals(inst.features)
         np.testing.assert_allclose(marg.sum(axis=1), 1.0, atol=1e-9)
 
     def test_log_partition_matches_enumeration(self):
@@ -282,11 +299,22 @@ class TestMarginalsAndPartition:
             length = int(rng.integers(1, 7))
             inst = random_instance(rng, length)
             model = random_model(rng, [inst])
-            feats = list(inst.features)
-            scores = np.array([s for _, s in enumerate_scores(model, feats)])
-            m = scores.max()
-            expected = m + math.log(np.exp(scores - m).sum())
-            assert model.log_partition(feats) == pytest.approx(expected, abs=1e-9)
+            expected = enumerated_log_partition(model, list(inst.features))
+            assert model.log_partition(inst.features) == pytest.approx(expected, abs=1e-9)
+
+    def test_a_run_of_sentences_answers_for_each_sentence(self):
+        """Over a run, marginals are each sentence's own, in row order, and
+        log Z is the sum of the sentences' log Z."""
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            instances = [random_instance(rng, int(n)) for n in rng.integers(1, 6, int(rng.integers(2, 5)))]
+            model = random_model(rng, instances)
+            sentences = [list(inst.features) for inst in instances]
+            run = run_of(sentences)
+            brute = np.vstack([enumerated_marginals(model, feats) for feats in sentences])
+            np.testing.assert_allclose(model.marginals(run), brute, atol=1e-9)
+            expected = sum(enumerated_log_partition(model, feats) for feats in sentences)
+            assert model.log_partition(run) == pytest.approx(expected, abs=1e-9)
 
     def test_no_overflow_on_long_sequences(self):
         """Log-domain arithmetic survives 10,000 positions with big weights."""
@@ -386,16 +414,30 @@ class TestGradient:
 def toy_training_instances(n_copies=20):
     sent, words = "地板很好", ["地板", "很", "好"]
     types = char_types(sent)
-    feats = tuple(cf_features(sent, types, i) for i in range(len(sent)))
+    feats = [cf_features(sent, types, i) for i in range(len(sent))]
     gold = tuple(encode_bmes(words))
-    return [TrainingInstance(feats, gold, f"toy#{i}") for i in range(n_copies)]
+    return [instance(feats, gold, f"toy#{i}") for i in range(n_copies)]
+
+
+# optimum of the toy problem at l2 = 0.1
+TOY_OPTIMUM = -0.33031632514511156
 
 
 class TestTrain:
     def test_overfits_repeated_sentence(self):
         instances = toy_training_instances()
         model = train(instances, TrainConfig(l2=1e-4, max_iterations=200))
-        assert model.viterbi(list(instances[0].features)) == list(instances[0].gold)
+        assert model.viterbi(instances[0].features) == list(instances[0].gold)
+
+    def test_converges_to_the_stored_optimum(self):
+        """Trained to convergence, the objective reaches the optimum of
+        this strictly convex problem, recorded with scipy's L-BFGS-B;
+        any convergent optimizer must reach it too."""
+        instances = toy_training_instances()
+        model = train(instances, TrainConfig(l2=0.1, max_iterations=1000, tolerance=1e-12))
+        assert model.manifest["optimizer"]["converged"]
+        objective, _ = log_likelihood_and_gradient(model, instances)
+        assert objective == pytest.approx(TOY_OPTIMUM, rel=1e-9)
 
     def test_huge_regularization_flattens_weights(self):
         # the tie-break fallback itself is asserted on an exactly-zero model
@@ -469,7 +511,7 @@ class TestModelFile:
         model.save(path)
         loaded = CrfModel.load(path)
         assert np.array_equal(loaded.weights, model.weights)
-        feats = list(instances[0].features)
+        feats = instances[0].features
         assert loaded.viterbi(feats) == model.viterbi(feats)
         assert loaded.config == model.config
 
@@ -480,9 +522,26 @@ class TestModelFile:
         model.save(tmp_path / "b.crf")
         assert (tmp_path / "a.crf").read_bytes() == (tmp_path / "b.crf").read_bytes()
 
-    def test_rejects_foreign_files(self, tmp_path):
-        import pickle
+    @pytest.mark.parametrize("failing", ["serializing", "renaming"])
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch, failing):
+        model = train(toy_training_instances(3), TrainConfig(l2=0.1, max_iterations=30))
+        path = tmp_path / "model.crf"
+        model.save(path)
+        before = path.read_bytes()
 
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        if failing == "serializing":
+            monkeypatch.setattr(pickle, "dumps", fail)
+        else:
+            monkeypatch.setattr(corpus.os, "replace", fail)
+        with pytest.raises(OSError):
+            model.save(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_rejects_foreign_files(self, tmp_path):
         with open(tmp_path / "bad.crf", "wb") as fh:
             pickle.dump({"format": "something-else"}, fh)
         with pytest.raises(ValueError):
@@ -497,7 +556,7 @@ class TestLabelClosure:
             sent = "".join(rng.choice(list("地板很好大肠杆菌"), size=int(rng.integers(1, 12))))
             types = char_types(sent)
             feats = [cf_features(sent, types, i) for i in range(len(sent))]
-            inst = TrainingInstance(tuple(feats), tuple("S" * len(sent)))
+            inst = instance(feats, "S" * len(sent))
             model = random_model(rng, [inst], scale=2.0)
-            labels = model.viterbi(feats)
+            labels = model.viterbi(inst.features)
             assert "".join(decode_bmes(sent, labels)) == sent

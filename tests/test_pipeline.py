@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from patseg.adaptation import augment, build_training, decoding_features
 from patseg.corpus import Document
-from patseg.crf import CrfModel, TrainingInstance, build_registry
+from patseg.crf import CrfModel, build_registry
 from patseg.external_features import KnowledgeBase, build_similarity
 from patseg.pipeline import (
     EXTERNAL_GROUPS,
     FEATURE_GROUPS,
     FeatureExtractor,
     normalize_groups,
-    write_feature_dump,
 )
+
+from _reference import columns_from_rows, instance, write_feature_dump
 
 # Hand-checked dump for the document ["abab"] with CF+LNG+PKL+PMI:
 # "ab" is the only maximal repeated n-gram (labels S,F,S,F) and no trigram
@@ -231,12 +232,12 @@ class TestColumnsOracle:
         doc = segmented("d", sentences)
         expected = reference_rows(self.extractor, doc)
         registry = build_registry(
-            [TrainingInstance(rows, ("S",) * len(rows)) for rows in reference_rows(self.extractor, TRANSIT_DOC)]
+            [instance(rows, ("S",) * len(rows)) for rows in reference_rows(self.extractor, TRANSIT_DOC)]
         )
         weights = np.random.default_rng(len(doc.sentences)).normal(0.0, 1.0, registry.n_weights)
         source_model = CrfModel(registry, weights)
         # labels decoded from the per-position rows, independently of the columns
-        labels = [source_model.viterbi(rows) for rows in expected]
+        labels = [source_model.viterbi(columns_from_rows(rows)) for rows in expected]
         got = decoding_features(doc, self.extractor, "transit", source_model)
         assert [list(s) for s in got] == [
             [fv + [("TRANSIT", lab)] for fv, lab in zip(rows, labs)] for rows, labs in zip(expected, labels)
