@@ -7,6 +7,10 @@ failure the process exits nonzero after printing a single
 ``error:<category>: message`` line to stderr.  A training run that stops
 at ``max_iterations`` before converging prints a ``warning:training:``
 line to stderr and still succeeds.
+
+``train`` writes one model file, which for ``transit`` also holds the
+source model, and ``segment`` reads only that file.  A model file that is
+damaged or not a model is refused with ``error:invalid:``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import adaptation, evaluation
-from .config import ConfigError, RunConfig, config_as_dict, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .corpus import Document, ParseError, atomic_write, checksum, corpus_files, read_corpus, read_lines
 from .crf import CrfModel, TrainConfig, TrainingError, train as crf_train
 from .external_features import KnowledgeBase, build_knowledge, read_tagged_corpus
@@ -156,9 +160,9 @@ def cmd_train(config_path, overrides) -> None:
             "mode": cfg.mode,
             "knowledge_checksum": kb_checksum,
             "corpus_checksums": checksums,
-            "config": config_as_dict(cfg),
         }
         model = crf_train(instances, train_config, manifest)
+        model.source = source_model
         optimizer = model.manifest["optimizer"]
         if not optimizer["converged"] and optimizer["nit"] >= train_config.max_iterations:
             click.echo(
@@ -167,21 +171,19 @@ def cmd_train(config_path, overrides) -> None:
                 err=True,
             )
         model.save(cfg.model)
-        if source_model is not None:
-            source_model.save(cfg.model + ".source")
         click.echo(f"model written to {cfg.model}")
     except Exception as exc:
         _fail(exc)
 
 
-def _segment_file(path: Path, model, extractor, mode, source_model) -> list[str]:
+def _segment_file(path: Path, model, extractor, mode) -> list[str]:
     # blank lines are skipped by the decoder but preserved in the output
     lines = read_lines(path)
     sentences = [ln for ln in lines if ln]
     if not sentences:
         return ["" for _ in lines]
     doc = Document(path.stem, tuple(sentences))
-    segmented = adaptation.segment_document(model, doc, extractor, mode, source_model)
+    segmented = adaptation.segment_document(model, doc, extractor, mode, model.source)
     non_blank = iter(segmented.words)
     return [" ".join(next(non_blank)) if ln else "" for ln in lines]
 
@@ -216,18 +218,14 @@ def cmd_segment(model_path, input_path, output_path, knowledge_path, config_path
                     "knowledge archive checksum does not match the one recorded at training time"
                 )
             knowledge = KnowledgeBase.load(knowledge_path)
-        source_model = None
-        if mode == "transit":
-            aux_path = str(model_path) + ".source"
-            if not Path(aux_path).exists():
-                raise MismatchError(f"transit model needs its auxiliary model at {aux_path}")
-            source_model = CrfModel.load(aux_path)
+        if mode == "transit" and model.source is None:
+            raise ValueError(f"{model_path} is a transit model without its source model; retrain the model")
         extractor = FeatureExtractor(groups, knowledge)
         _require(input_path, "input corpus")
         out_dir = Path(output_path)
         out_dir.mkdir(parents=True, exist_ok=True)
         for p in corpus_files(input_path):
-            out_lines = _segment_file(p, model, extractor, mode, source_model)
+            out_lines = _segment_file(p, model, extractor, mode)
             (out_dir / f"{p.stem}.seg").write_text(
                 "".join(line + "\n" for line in out_lines), encoding="utf-8"
             )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .pipeline import normalize_groups
@@ -76,10 +76,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
     "curve": {"sizes": "curve_sizes", "modes": "curve_modes"},
     "output": {"model": "model", "report": "report"},
-}
-
-_FIELD_TO_KEY = {
-    attr: (section, key) for section, keys in _SCHEMA.items() for key, attr in keys.items()
 }
 
 
@@ -152,7 +148,3 @@ def serialize_config(config: RunConfig) -> str:
             out.write(f"{key} = {_format_value(attr, getattr(config, attr))}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def config_as_dict(config: RunConfig) -> dict[str, object]:
-    return {f.name: getattr(config, f.name) for f in fields(config)}

@@ -88,10 +88,6 @@ class Document:
                         f"document {self.doc_id!r}: segmentation does not cover its sentence"
                     )
 
-    @property
-    def is_segmented(self) -> bool:
-        return self.words is not None
-
     def word_count(self) -> int:
         if self.words is None:
             raise ValueError(f"document {self.doc_id!r} is not segmented")

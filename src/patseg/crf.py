@@ -39,6 +39,14 @@ training uses ``scipy.optimize`` and ``scipy.sparse``.  The module
 imports the bare ``scipy`` package, which loads submodules on first use,
 so decoding loads neither.
 
+A model file holds data only.  One JSON header line holds the format,
+version and labels and, for the model and then the source model a
+``transit`` model reads, each template's values in the registry's
+dictionary order, the training config and the manifest.  After it come
+each model's slot ids, in the order of those values, as little-endian
+int32, then its weights as little-endian float64.  Loading checks every
+part, so a damaged or hostile file is refused and nothing in it runs.
+
 Viterbi ties are broken toward the lexicographically smallest sequence
 under the label order B < M < E < S at the earliest differing position.
 """
@@ -46,9 +54,9 @@ under the label order B < M < E < S at the earliest differing position.
 from __future__ import annotations
 
 import itertools
-import pickle
+import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -62,8 +70,8 @@ N_LABELS = len(LABELS)
 _LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 _LABEL_NAMES = np.array(LABELS, dtype=object)
 
-_PICKLE_PROTOCOL = 4
-_FORMAT_VERSION = 1
+_FORMAT = "patseg-crf"
+_FORMAT_VERSION = 2
 
 
 class TrainingError(RuntimeError):
@@ -196,21 +204,12 @@ class FeatureRegistry:
             start += n
         return ids
 
-    @classmethod
-    def from_slot_list(cls, pairs: Sequence[tuple[str, str]]) -> "FeatureRegistry":
-        """The registry whose slot ``s`` is the pair ``pairs[s]``."""
-        slots: dict[str, dict[str, int]] = {}
-        for slot, (template_id, value) in enumerate(pairs):
-            if slots.setdefault(template_id, {}).setdefault(value, slot) != slot:
-                raise ValueError(f"slot list holds ({template_id!r}, {value!r}) twice")
-        return cls(slots)
-
 
 class CrfModel:
     """A trained (or zero-initialized) CRF: registry plus weight vector.
 
-    Replace ``weights`` as a whole rather than writing into it: the
-    decoding table derived from it is rebuilt on assignment.
+    ``source`` is the model whose labels a ``transit`` model reads as one
+    more feature; it is saved in the same file.
     """
 
     def __init__(
@@ -220,6 +219,7 @@ class CrfModel:
         config: TrainConfig = TrainConfig(),
         manifest: dict | None = None,
     ):
+        weights = np.asarray(weights, dtype=np.float64)
         if len(weights) != registry.n_weights:
             raise ValueError("weight vector length does not match registry")
         if not np.all(np.isfinite(weights)):
@@ -228,19 +228,7 @@ class CrfModel:
         self.weights = weights
         self.config = config
         self.manifest = dict(manifest or {})
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @weights.setter
-    def weights(self, weights: np.ndarray) -> None:
-        self._weights = np.asarray(weights, dtype=np.float64)
-        self._table: np.ndarray | None = None
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return LABELS
+        self.source: CrfModel | None = None
 
     def _emission_weights(self) -> np.ndarray:
         return self.weights[: self.registry.n_slots * N_LABELS].reshape(-1, N_LABELS)
@@ -250,9 +238,7 @@ class CrfModel:
 
     def _emission_table(self) -> np.ndarray:
         """Emission weights with a zero row for the sentinel slot id."""
-        if self._table is None:
-            self._table = np.vstack([self._emission_weights(), np.zeros((1, N_LABELS))])
-        return self._table
+        return np.vstack([self._emission_weights(), np.zeros((1, N_LABELS))])
 
     def _scores(self, columns: FeatureColumns):
         batch = PackedBatch(self.registry.compile([columns]), columns.lengths, self.registry.n_slots)
@@ -278,52 +264,81 @@ class CrfModel:
         return batch.natural(batch.forward_backward(e, w_t)[1])
 
     def save(self, path: str | Path) -> None:
-        """Versioned container; round-trips bit-exactly.
-
-        Equal strings of the slot list are written once and referenced
-        after that, so the bytes depend on the registry's content alone,
-        not on which of its strings happen to be one object in memory.
-        """
-        shared: dict[str, str] = {}
-        slots = [[shared.setdefault(t, t), shared.setdefault(v, v)] for (t, v), _ in self.registry.slot_items()]
-        payload = {
-            "format": "patseg-crf",
+        """Write this model and its source model, if any, to one file in
+        the layout the module docstring gives.  The bytes depend on the
+        content alone."""
+        models = [m for m in (self, self.source) if m is not None]
+        header = {
+            "format": _FORMAT,
             "version": _FORMAT_VERSION,
             "labels": list(LABELS),
-            "slots": slots,
-            "weights": self.weights,
-            "config": {
-                "l2": self.config.l2,
-                "max_iterations": self.config.max_iterations,
-                "tolerance": self.config.tolerance,
-                "feature_cutoff": self.config.feature_cutoff,
-            },
-            "manifest": self.manifest,
+            "models": [
+                {
+                    "templates": {t: list(values) for t, values in m.registry._slots.items()},
+                    "config": asdict(m.config),
+                    "manifest": m.manifest,
+                }
+                for m in models
+            ],
         }
-        atomic_write(path, pickle.dumps(payload, protocol=_PICKLE_PROTOCOL))
+        parts = [json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"]
+        for m in models:
+            ids = [s for values in m.registry._slots.values() for s in values.values()]
+            parts += [np.array(ids, dtype="<i4").tobytes(), m.weights.astype("<f8").tobytes()]
+        atomic_write(path, b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "CrfModel":
-        """Read a model written by :meth:`save`.  A file that is not one
-        raises ValueError naming it.  Loading unpickles, so load only
-        files from a trusted source."""
+        """Read a file written by :meth:`save`, source models included.
+        A file that is damaged or not a model raises ValueError naming it."""
+        data = Path(path).read_bytes()
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except (pickle.UnpicklingError, EOFError) as exc:
-            raise ValueError(f"{path} is not a readable model file: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("format") != "patseg-crf":
-            raise ValueError(f"{path} is not a model file")
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-        try:
-            if tuple(payload["labels"]) != LABELS:
-                raise ValueError("model label set mismatch")
-            registry = FeatureRegistry.from_slot_list(payload["slots"])
-            config = TrainConfig(**payload["config"])
-            return cls(registry, payload["weights"], config, payload.get("manifest"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed model file: {exc}") from exc
+            return _decode_models(data)
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            raise ValueError(f"{path} is not a readable model file ({exc}); retrain the model") from exc
+
+
+def _check(ok: bool, problem: str) -> None:
+    if not ok:
+        raise ValueError(problem)
+
+
+def _decode_models(data: bytes) -> CrfModel:
+    header_end = data.find(b"\n")
+    _check(header_end >= 0, "no header line")
+    header = json.loads(data[:header_end])
+    _check(isinstance(header, dict) and header.get("format") == _FORMAT, "not a patseg model")
+    _check(header.get("version") == _FORMAT_VERSION, f"unsupported version {header.get('version')!r}")
+    _check(header.get("labels") == list(LABELS), "label set mismatch")
+    entries = header.get("models")
+    _check(isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries), "no model entries")
+    models = []
+    offset = header_end + 1
+    for entry in entries:
+        templates, config, manifest = entry.get("templates"), entry.get("config"), entry.get("manifest")
+        _check(isinstance(templates, dict) and isinstance(manifest, dict), "templates and manifest must be objects")
+        for template_id, values in templates.items():
+            strings = isinstance(values, list) and all(isinstance(v, str) for v in values)
+            _check(strings and len(set(values)) == len(values), f"values of template {template_id!r} are not distinct strings")
+        numeric = isinstance(config, dict) and all(type(x) in (int, float) for x in config.values())
+        _check(numeric and set(config) == {f.name for f in fields(TrainConfig)}, "config must have the numeric fields of TrainConfig")
+        n_slots = sum(len(values) for values in templates.values())
+        # np.frombuffer refuses a file too short for the sizes the header gives
+        ids = np.frombuffer(data, dtype="<i4", count=n_slots, offset=offset)
+        _check(np.array_equal(np.sort(ids), np.arange(n_slots)), "slot ids are not a permutation")
+        slots, lo = {}, 0
+        for template_id, values in templates.items():
+            slots[template_id] = dict(zip(values, ids[lo : lo + len(values)].tolist()))
+            lo += len(values)
+        registry = FeatureRegistry(slots)
+        offset += 4 * n_slots
+        weights = np.frombuffer(data, dtype="<f8", count=registry.n_weights, offset=offset).astype(np.float64)
+        offset += 8 * registry.n_weights
+        models.append(CrfModel(registry, weights, TrainConfig(**config), manifest))
+    _check(offset == len(data), f"{len(data) - offset} bytes after the last model")
+    for model, source in zip(models, models[1:]):
+        model.source = source
+    return models[0]
 
 
 class PackedBatch:

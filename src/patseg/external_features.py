@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document, ParseError, corpus_files, read_lines
+from .corpus import Document, ParseError, atomic_write, corpus_files, read_lines
 from .corpus import checksum as archive_checksum  # noqa: F401  (re-exported: an archive's checksum)
 
 NO_TAG = "<none>"
@@ -260,21 +260,18 @@ class KnowledgeBase:
     similarity: SimilarityModel
 
     def save(self, path: str | Path) -> None:
-        """Write the archive directory: cpos.tsv, dict.txt, sim.tsv."""
+        """Write the archive directory: cpos.tsv, dict.txt, sim.tsv, each
+        file replaced whole or left as it was."""
         root = Path(path)
-        root.mkdir(parents=True, exist_ok=True)
-        with open(root / "cpos.tsv", "w", encoding="utf-8") as fh:
-            for char in sorted(self.pos_lexicon):
-                fh.write(f"{char}\t{self.pos_lexicon[char]}\n")
-        with open(root / "dict.txt", "w", encoding="utf-8") as fh:
-            for word in sorted(self.dictionary):
-                fh.write(word + "\n")
+        cpos = "".join(f"{char}\t{self.pos_lexicon[char]}\n" for char in sorted(self.pos_lexicon))
+        atomic_write(root / "cpos.tsv", cpos.encode("utf-8"))
+        atomic_write(root / "dict.txt", "".join(word + "\n" for word in sorted(self.dictionary)).encode("utf-8"))
         model = self.similarity
-        with open(root / "sim.tsv", "w", encoding="utf-8") as fh:
-            fh.write(f"{len(model.vocab)} {model.dimension}\n")
-            for char, row in zip(model.vocab, model.vectors):
-                cells = " ".join(f"{x:.9g}" for x in row)
-                fh.write(f"{char}\t{cells}\n")
+        sim = [f"{len(model.vocab)} {model.dimension}\n"]
+        for char, row in zip(model.vocab, model.vectors):
+            cells = " ".join(f"{x:.9g}" for x in row)
+            sim.append(f"{char}\t{cells}\n")
+        atomic_write(root / "sim.tsv", "".join(sim).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeBase":

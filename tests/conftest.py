@@ -1,4 +1,25 @@
+import pickle
+
 import pytest
+
+
+class _CreatesFile:
+    """Unpickling this object creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+@pytest.fixture
+def pickled_model(tmp_path):
+    """A would-be model file holding a pickle that, if unpickled, creates
+    a marker file; returns the two paths."""
+    path, marker = tmp_path / "pickled.crf", tmp_path / "marker"
+    path.write_bytes(pickle.dumps(_CreatesFile(str(marker))))
+    return path, marker
 
 
 @pytest.fixture

@@ -1,18 +1,21 @@
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from patseg import crf
+from patseg import adaptation, crf
 from patseg.cli import main
 from patseg.corpus import read_corpus
-from patseg.crf import CrfModel
-from patseg.external_features import KnowledgeBase
+from patseg.crf import CrfModel, TrainConfig
+from patseg.external_features import KnowledgeBase, read_tagged_corpus
+from patseg.pipeline import FeatureExtractor
 
 
 def run(*args):
@@ -114,7 +117,25 @@ class TestTrain:
             "train", "--config", cfg_path(workspace), "--set", "train.mode=transit"
         )
         assert result.exit_code == 0, result.output
-        assert (workspace / "out" / "model.crf.source").exists()
+        assert [p.name for p in (workspace / "out").iterdir()] == ["model.crf"]
+        source_docs = [t.doc for t in read_tagged_corpus(workspace / "source")]
+        _, source_model = adaptation.build_training(
+            "transit", source_docs, read_corpus(workspace / "train"), FeatureExtractor(("CF",)),
+            TrainConfig(l2=0.01, max_iterations=150),
+        )
+        loaded = CrfModel.load(workspace / "out" / "model.crf").source
+        assert loaded.registry.slot_items() == source_model.registry.slot_items()
+        assert np.array_equal(loaded.weights, source_model.weights)
+
+    def test_model_bytes_do_not_depend_on_where_the_corpora_live(self, workspace, tmp_path_factory):
+        other = tmp_path_factory.mktemp("elsewhere") / "world"
+        shutil.copytree(workspace, other)
+        config = (other / "run.cfg").read_text(encoding="utf-8").replace(str(workspace), str(other))
+        (other / "run.cfg").write_text(config, encoding="utf-8")
+        for root in (workspace, other):
+            result = run("train", "--config", cfg_path(root), "--set", "train.mode=transit")
+            assert result.exit_code == 0, result.output
+        assert (other / "out" / "model.crf").read_bytes() == (workspace / "out" / "model.crf").read_bytes()
 
     def test_missing_source_named_explicitly(self, workspace):
         result = CliRunner().invoke(
@@ -230,6 +251,30 @@ class TestSegment:
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ") and str(model) in result.stderr
+
+    def test_pickled_model_is_refused_without_running_it(self, workspace, pickled_model):
+        model, marker = pickled_model
+        result = CliRunner().invoke(
+            main, ["segment", "--model", str(model), "--input", str(workspace / "raw"),
+                   "--output", str(workspace / "pred")],
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:invalid: ") and str(model) in result.stderr
+        assert "retrain" in result.stderr
+        assert not marker.exists()
+
+    def test_transit_model_without_its_source_is_refused(self, workspace):
+        run("train", "--config", cfg_path(workspace), "--set", "train.mode=transit")
+        model_path = workspace / "out" / "model.crf"
+        args = ["segment", "--model", str(model_path), "--input", str(workspace / "raw"),
+                "--output", str(workspace / "pred")]
+        assert run(*args).exit_code == 0  # the one file is all segment needs
+        model = CrfModel.load(model_path)
+        model.source = None
+        model.save(model_path)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:invalid: ") and str(model_path) in result.stderr
 
     def test_feature_group_mismatch_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))

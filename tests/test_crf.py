@@ -1,11 +1,17 @@
+import functools
 import itertools
+import json
 import math
 import pickle
+import tempfile
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patseg import corpus
 from patseg.corpus import LABELS, decode_bmes, encode_bmes
@@ -106,14 +112,14 @@ class TestScoreSequence:
         assert all(s == 0.0 for _, s in scored)
 
     def test_single_position_single_feature(self):
-        reg = FeatureRegistry.from_slot_list([("t", "v")])
+        reg = FeatureRegistry({"t": {"v": 0}})
         weights = np.zeros(reg.n_weights)
         weights[emission_index(reg, "t", "v", "S")] = 2.0
         model = CrfModel(reg, weights)
         assert dict(enumerate_scores(model, [[("t", "v")]]))[("S",)] == 2.0
 
     def test_length_two_hand_sum(self):
-        reg = FeatureRegistry.from_slot_list([("t", "a"), ("t", "b")])
+        reg = FeatureRegistry({"t": {"a": 0, "b": 1}})
         weights = np.zeros(reg.n_weights)
         weights[emission_index(reg, "t", "a", "B")] = 1.5
         weights[emission_index(reg, "t", "b", "E")] = -0.25
@@ -123,7 +129,7 @@ class TestScoreSequence:
         assert got == pytest.approx(1.5 - 0.25 + 3.0)
 
     def test_unregistered_features_contribute_zero(self):
-        reg = FeatureRegistry.from_slot_list([("t", "a")])
+        reg = FeatureRegistry({"t": {"a": 0}})
         model = CrfModel(reg, np.ones(reg.n_weights))
         known, with_unknown = [[("t", "a")]], [[("t", "a"), ("t", "zzz")]]
         assert enumerate_scores(model, known) == enumerate_scores(model, with_unknown)
@@ -141,8 +147,16 @@ class TestViterbi:
         model = CrfModel(reg, np.zeros(reg.n_weights))
         assert model.viterbi(inst.features) == ["B"] * 5
 
+    def test_weights_written_in_place_are_decoded(self):
+        reg = FeatureRegistry({"t": {"v": 0}})
+        model = CrfModel(reg, np.zeros(reg.n_weights))
+        feats = columns_from_rows([[("t", "v")]])
+        assert model.viterbi(feats) == ["B"]
+        model.weights[emission_index(reg, "t", "v", "S")] = 1.0
+        assert model.viterbi(feats) == ["S"]
+
     def test_transition_dominance(self):
-        reg = FeatureRegistry.from_slot_list([("t", "v")])
+        reg = FeatureRegistry({"t": {"v": 0}})
         weights = np.zeros(reg.n_weights)
         weights[transition_index(reg, "S", "S")] = 10.0
         model = CrfModel(reg, weights)
@@ -205,7 +219,7 @@ class TestViterbi:
                 [pool[int(j)] for j in rng.integers(0, len(pool), int(rng.integers(0, 4)))]
                 for _ in range(length)
             ]
-            reg = FeatureRegistry.from_slot_list(pool[:4])
+            reg = FeatureRegistry({"t0": {"a": 0, "b": 1}, "t1": {"a": 2}, "t2": {"c": 3}})
             model = CrfModel(reg, rng.normal(0.0, 1.0, reg.n_weights))
             assert tuple(model.viterbi(columns_from_rows(feats))) == enumeration_argmax(model, feats)
             assert model.viterbi(run_of([feats, feats[:1]])) == [
@@ -503,6 +517,22 @@ class TestTrain:
         assert "rand-3" in str(err.value)
 
 
+def transit_pair():
+    """A model whose source model is set, as ``transit`` training leaves it."""
+    source = train(toy_training_instances(3), TrainConfig(l2=0.1, max_iterations=30))
+    model = train(toy_training_instances(2), TrainConfig(l2=0.5, max_iterations=20), {"mode": "transit"})
+    model.source = source
+    return model
+
+
+@functools.cache
+def transit_pair_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.crf"
+        transit_pair().save(path)
+        return path.read_bytes()
+
+
 class TestModelFile:
     def test_round_trip_identical_predictions(self, tmp_path):
         instances = toy_training_instances()
@@ -533,7 +563,7 @@ class TestModelFile:
             raise OSError("disk full")
 
         if failing == "serializing":
-            monkeypatch.setattr(pickle, "dumps", fail)
+            monkeypatch.setattr(json, "dumps", fail)
         else:
             monkeypatch.setattr(corpus.os, "replace", fail)
         with pytest.raises(OSError):
@@ -546,6 +576,89 @@ class TestModelFile:
             pickle.dump({"format": "something-else"}, fh)
         with pytest.raises(ValueError):
             CrfModel.load(tmp_path / "bad.crf")
+
+    def test_transit_pair_round_trips_in_one_file(self, tmp_path):
+        model = transit_pair()
+        path = tmp_path / "model.crf"
+        model.save(path)
+        assert list(tmp_path.iterdir()) == [path]
+        loaded = CrfModel.load(path)
+        for original, copy in ((model, loaded), (model.source, loaded.source)):
+            assert copy.registry.slot_items() == original.registry.slot_items()
+            assert np.array_equal(copy.weights, original.weights)
+            assert copy.config == original.config and copy.manifest == original.manifest
+        assert loaded.source.source is None
+        loaded.save(tmp_path / "again.crf")
+        assert (tmp_path / "again.crf").read_bytes() == path.read_bytes()
+
+    def test_loading_a_pickle_runs_nothing(self, pickled_model):
+        path, marker = pickled_model
+        with pytest.raises(ValueError) as err:
+            CrfModel.load(path)
+        assert str(path) in str(err.value) and "retrain" in str(err.value)
+        assert not marker.exists()
+        pickle.loads(path.read_bytes())  # the file is hostile: unpickling it does run
+        assert marker.exists()
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            ("version", "version"),
+            ("repeated value", "distinct strings"),
+            ("slot ids", "permutation"),
+            ("config", "numeric fields"),
+            ("non-finite weight", "finite"),
+            ("missing byte", ""),  # refused by np.frombuffer, in numpy's words
+            ("trailing byte", "after the last model"),
+        ],
+    )
+    def test_each_load_check_refuses_its_damage(self, tmp_path, damage, reason):
+        path = tmp_path / "model.crf"
+        transit_pair().save(path)
+        data = path.read_bytes()
+        end = data.index(b"\n")
+        header = json.loads(data[:end])
+        body = bytearray(data[end + 1 :])
+        entry = header["models"][0]
+        if damage == "version":
+            header["version"] = 1
+        elif damage == "repeated value":
+            values = next(iter(entry["templates"].values()))
+            values[1] = values[0]
+        elif damage == "slot ids":
+            body[4:8] = body[0:4]
+        elif damage == "config":
+            entry["config"]["l2"] = "0.1"
+        elif damage == "non-finite weight":
+            body[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        elif damage == "missing byte":
+            body = body[:-1]
+        else:
+            body += b"\0"
+        path.write_bytes(json.dumps(header, ensure_ascii=False).encode() + b"\n" + bytes(body))
+        with pytest.raises(ValueError) as err:
+            CrfModel.load(path)
+        assert str(path) in str(err.value) and reason in str(err.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damaged_file_loads_or_is_refused(self, data):
+        """Any truncation or single-byte change of a saved transit pair
+        either still loads or raises ValueError naming the file."""
+        original = transit_pair_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = original[: data.draw(st.integers(0, len(original) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(original) - 1), label="at")
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != original[at]), label="byte")
+            damaged = original[:at] + bytes([byte]) + original[at + 1 :]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.crf"
+            path.write_bytes(damaged)
+            try:
+                CrfModel.load(path)
+            except ValueError as exc:
+                assert str(path) in str(exc)
 
 
 class TestLabelClosure:

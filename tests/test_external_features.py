@@ -1,8 +1,11 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from patseg import corpus
 from patseg.corpus import Document, ParseError
 from patseg.external_features import (
     KnowledgeBase,
@@ -277,6 +280,25 @@ class TestKnowledgeArchive:
         with pytest.raises(ParseError) as err:
             KnowledgeBase.load(tmp_path / "kb")
         assert f"{sim}:{len(lines) + 1}" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["cpos.tsv", "dict.txt", "sim.tsv"])
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
+        root = tmp_path / "kb"
+        self.make_kb().save(root)
+        before = (root / name).read_bytes()
+        replace = os.replace
+
+        def fail_on_name(src, dst):
+            if Path(dst).name == name:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(corpus.os, "replace", fail_on_name)
+        changed = KnowledgeBase({"z": "VV"}, {"zz"}, build_similarity(["zyx", "yxz"], k=2))
+        with pytest.raises(OSError):
+            changed.save(root)
+        assert (root / name).read_bytes() == before
+        assert sorted(p.name for p in root.iterdir()) == ["cpos.tsv", "dict.txt", "sim.tsv"]
 
     def test_archive_files_and_checksum_stability(self, tmp_path):
         kb = self.make_kb()
