@@ -179,6 +179,12 @@ def cmd_train(config_path, overrides) -> None:
 def _segment_file(path: Path, model, extractor, mode) -> list[str]:
     # blank lines are skipped by the decoder but preserved in the output
     lines = read_lines(path)
+    for lineno, line in enumerate(lines, start=1):
+        if " " in line:
+            raise ValueError(
+                f"{path}:{lineno}: the line holds a space (U+0020), which separates words "
+                "in segmented output, so no output line can represent it"
+            )
     sentences = [ln for ln in lines if ln]
     if not sentences:
         return ["" for _ in lines]

@@ -24,11 +24,30 @@ reproduce bit-identical weights.
 Training and decoding share one core, :class:`PackedBatch`: a batch of
 sequences stored time-major with one row per position, so memory is
 O(sum of lengths), not O(sequences x longest).  Over that layout run the
-only forward-backward (scaled domain, renormalized at every row, so
+only forward-backward (scaled domain, renormalized at every step, so
 sequences of any length cannot overflow) and the only Viterbi (additive
 max-product in the log domain).  :meth:`CrfModel.viterbi`,
 :meth:`CrfModel.marginals` and :meth:`CrfModel.log_partition` take the
 columns of a whole run and pack all of its sentences into one batch.
+
+Each pass is a linear recursion whose steps are 4x4 matrices, and
+composing steps is associative (Blelloch's prefix sums; Sarkka and
+Garcia-Fernandez's parallel forward-backward).  So a pass is not run one
+position at a time but as a chunked scan: every sequence is cut into
+chunks of ``ceil(sqrt(l_max))`` positions, and one scan driver runs three
+phases over a chunk plan built once per batch.  (1) For every in-chunk
+offset, one batched step extends the prefix products of all chunks of
+all sequences at once.  (2) For every chunk index, one batched step
+carries the state across the chunk boundary of every sequence that
+reaches it.  (3) Every row's state is its chunk's carry applied to its
+prefix, in one vectorized product.  A pass thus takes about
+``2 sqrt(l_max)`` Python steps, not ``l_max``.  Alpha and beta scan in
+the sum-product semiring, renormalized at every step; Viterbi's best
+continuation scores in max-plus; and its read-out composes the integer
+maps "previous label -> label", which is exact, so ties among the best
+scores break as they would step by step.  Prefixes take 16 floats per
+position and carries one state per (chunk, sequence) reached, so memory
+stays O(positions).
 
 Decoding scores positions by a gather-sum over the slot-id matrix: the
 emission weights with a zero row appended for the sentinel, gathered
@@ -53,8 +72,10 @@ under the label order B < M < E < S at the earliest differing position.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -314,6 +335,8 @@ def _decode_models(data: bytes) -> CrfModel:
     _check(isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries), "no model entries")
     models = []
     offset = header_end + 1
+    # json.loads shares equal object keys but not equal list items
+    shared: dict[str, str] = {}
     for entry in entries:
         templates, config, manifest = entry.get("templates"), entry.get("config"), entry.get("manifest")
         _check(isinstance(templates, dict) and isinstance(manifest, dict), "templates and manifest must be objects")
@@ -328,6 +351,7 @@ def _decode_models(data: bytes) -> CrfModel:
         _check(np.array_equal(np.sort(ids), np.arange(n_slots)), "slot ids are not a permutation")
         slots, lo = {}, 0
         for template_id, values in templates.items():
+            values = [shared.setdefault(v, v) for v in values]
             slots[template_id] = dict(zip(values, ids[lo : lo + len(values)].tolist()))
             lo += len(values)
         registry = FeatureRegistry(slots)
@@ -357,6 +381,10 @@ class PackedBatch:
     ``rows[p]`` is the input-order row of packed row ``p``.  With
     ``gold`` labels (one per input-order row) the batch also holds the
     empirical feature counts the training objective needs.
+
+    The passes (:meth:`forward_backward`, :meth:`viterbi`) are chunked
+    scans over a chunk plan built once per batch, see the module
+    docstring.
     """
 
     def __init__(
@@ -417,11 +445,6 @@ class PackedBatch:
         out[self.rows] = packed
         return out
 
-    def _step_tables(self) -> tuple[memoryview, memoryview]:
-        # indexing a memoryview yields Python ints, which slice faster than
-        # NumPy scalars, and unlike lists of ints they take 8 bytes a step
-        return memoryview(self.offset), memoryview(self.active)
-
     def emissions(self, table: np.ndarray) -> np.ndarray:
         """Emission scores of every row: the ``table`` rows of its slot
         ids summed in template order, ``table`` being the emission weights
@@ -433,17 +456,117 @@ class PackedBatch:
             e += np.take(table, ids, axis=0, out=gathered)
         return e
 
+    @cached_property
+    def _plan(self) -> _ChunkPlan:
+        """Where every position sits in the chunked scan, built once per batch.
+
+        Position ``t`` of sorted sequence ``s`` lies in chunk ``t // size``
+        at in-chunk offset ``t % size``.  Each chunk owns one carry slot,
+        ``across_start[c] + s`` for chunk ``c``, so the slots of one chunk
+        index are contiguous and those still running are a prefix.  Scan
+        rows are the positions grouped by in-chunk offset, and within an
+        offset by chunk, longest chunks first, so the chunks still running
+        at an offset are a prefix too.  Both scan directions use the same
+        rows: a backward pass counts ``t`` from the end of its sequence.
+        """
+        size = _chunk_length(self.l_max)
+        lengths = self.lengths
+        # sequences with a chunk c: those longer than c * size
+        per_chunk = np.searchsorted(-lengths, -np.arange(0, self.l_max, size), side="left")
+        across_start = np.cumsum(per_chunk) - per_chunk
+        n_chunks = int(per_chunk.sum())
+        seq = np.arange(n_chunks) - np.repeat(across_start, per_chunk)
+        first = np.repeat(np.arange(len(per_chunk)) * size, per_chunk)
+        chunk_length = np.minimum(size, lengths[seq] - first)
+        by_length = np.argsort(-chunk_length, kind="stable")
+        rank = np.empty(n_chunks, dtype=np.intp)
+        rank[by_length] = np.arange(n_chunks)
+        per_offset = np.searchsorted(-chunk_length[by_length], -np.arange(size), side="left")
+        offset_start = np.cumsum(per_offset) - per_offset
+
+        def scan_row(t: np.ndarray) -> np.ndarray:
+            return offset_start[t % size] + rank[across_start[t // size] + self.seq_of_row]
+
+        time = np.repeat(np.arange(self.l_max), self.active)
+        forward = np.empty(self.n_rows, dtype=np.intp)
+        forward[scan_row(time)] = np.arange(self.n_rows)
+        backward = np.empty(self.n_rows, dtype=np.intp)
+        backward[scan_row(self.lengths[self.seq_of_row] - 1 - time)] = np.arange(self.n_rows)
+        return _ChunkPlan(
+            forward=forward,
+            backward=backward,
+            starts=rank[: self.n],
+            carry_slot=by_length[np.arange(self.n_rows) - np.repeat(offset_start, per_offset)],
+            chunk_end=offset_start[chunk_length - 1] + rank,
+            in_chunk=_slices(offset_start, per_offset),
+            across=_slices(across_start, per_chunk),
+        )
+
+    def _scan(self, first: np.ndarray, steps: np.ndarray, combine, apply, start) -> np.ndarray:
+        """The state at every scan row of a linear recursion, in scan order.
+
+        Arrays are label-major: scan rows run along the last axis.  A
+        prefix is the composition of the steps of a chunk up to a row;
+        ``first`` holds the prefix of every chunk's first row, and
+        ``combine(prefix, steps)`` extends prefixes by one row's step.
+        ``apply(state, prefix)`` advances states through prefixes, and
+        ``start`` is the state before every sequence.
+
+        Three phases: the prefixes of all chunks at once, one batched
+        ``combine`` per in-chunk offset; the carry into every chunk, one
+        batched ``apply`` per chunk index; and every row's state, its
+        chunk's carry applied to its prefix, in one call.
+        """
+        plan = self._plan
+        prefix = np.empty(first.shape[:-1] + (self.n_rows,), dtype=first.dtype)
+        prefix[..., : first.shape[-1]] = first
+        for lo, prev_lo, k in plan.in_chunk:
+            prefix[..., lo : lo + k] = combine(prefix[..., prev_lo : prev_lo + k], steps[..., lo : lo + k])
+        ends = prefix[..., plan.chunk_end]
+        carry = np.empty(ends.shape[1:], dtype=ends.dtype)
+        carry[..., : self.n] = start
+        for lo, prev_lo, k in plan.across:
+            carry[..., lo : lo + k] = apply(carry[..., prev_lo : prev_lo + k], ends[..., prev_lo : prev_lo + k])
+        return apply(carry[..., plan.carry_slot], prefix)
+
+    def _chain(self, rows: np.ndarray, v: np.ndarray, trans: np.ndarray, max_plus: bool) -> np.ndarray:
+        """States of a recursion over the packed ``rows`` in scan order,
+        rows x labels in packed order.  In sum-product, ``state(j) = v(j)
+        * sum_i prev(i) trans(i, j)``, renormalized to sum to one; in
+        max-plus, ``state(j) = v(j) + max_i (prev(i) + trans(i, j))``.  A
+        sequence's first row has ``state = v`` (renormalized)."""
+        plan = self._plan
+        v = np.take(v.T, rows, axis=1)  # C-contiguous, unlike v.T[:, rows]
+        n_chunks = len(plan.chunk_end)
+        if max_plus:
+            first = trans[:, :, None] + v[:, :n_chunks]
+            first[:, :, plan.starts] = v[:, plan.starts]
+            combine, apply, start = functools.partial(_max_plus, trans), _max_plus_apply, 0.0
+        else:
+            first = trans[:, :, None] * v[:, :n_chunks]
+            first[:, :, plan.starts] = v[:, plan.starts]
+            combine, apply, start = functools.partial(_sum_product, trans.T.copy()), _sum_product_apply, 1.0
+        out = np.empty((self.n_rows, N_LABELS))
+        out[rows] = self._scan(first, v, combine, apply, start).T
+        return out
+
     def forward_backward(self, e: np.ndarray, w_t: np.ndarray):
-        """Scaled forward-backward over all rows.
+        """Scaled forward-backward over all rows, as two chunked scans.
 
         Works on ``exp(e - rowmax)`` and ``exp(w_t - max(w_t))``, so no
-        factor exceeds one, and renormalizes every alpha and beta row to
-        sum to one, so no product can overflow however long the sequence.
-        ``log Z`` is recovered as the sum of the log row scales plus the
-        subtracted maxima.  A row scale is at least
+        factor exceeds one.  Alpha is scanned forward; backward, the scan
+        yields ``emit * beta``, from which beta at a row is ``trans`` times
+        that of the next row.  The scans renormalize every in-chunk product
+        and every state to sum to one, so no product can overflow however
+        long the sequence.  The forward row scales are recomputed from
+        alpha in one batched product, and ``log Z`` is the sum of their
+        logs plus the subtracted maxima.  A row scale is at least
         ``exp(min(w_t) - max(w_t)) / 4``, so it underflows to zero only
         when transition weights span hundreds of nats, and the caller
         then reports a non-finite log Z or gradient.
+
+        Each scan holds 16 floats of prefix per row and one state per
+        chunk, so memory stays O(positions).
 
         Returns log Z per sorted sequence, the posterior marginals
         (rows x labels) and the expected transition counts summed over
@@ -453,30 +576,19 @@ class PackedBatch:
         emit = np.exp(e - shift[:, None])
         t_shift = w_t.max()
         trans = np.exp(w_t - t_shift)
-        alpha = np.empty_like(emit)
+        plan, n = self._plan, self.n
+
+        alpha = self._chain(plan.forward, emit, trans, max_plus=False)
         scale = np.empty(self.n_rows)
-        n = self.n
-        # per step, np.dot beats @ and .sum on arrays this small
-        ones = np.ones(N_LABELS)
         scale[:n] = emit[:n].sum(axis=1)
-        alpha[:n] = emit[:n] / scale[:n, None]
-        offset, active = self._step_tables()
-        for t in range(1, self.l_max):
-            prev_lo, lo, k = offset[t - 1], offset[t], active[t]
-            a = np.dot(alpha[prev_lo : prev_lo + k], trans) * emit[lo : lo + k]
-            c = np.dot(a, ones)
-            scale[lo : lo + k] = c
-            alpha[lo : lo + k] = a / c[:, None]
+        scale[n:] = ((alpha[self.prev_rows] @ trans) * emit[n:]).sum(axis=1)
         log_z = np.bincount(self.seq_of_row, np.log(scale) + shift, minlength=n)
         log_z += (self.lengths - 1) * t_shift
 
         # rows that end a sequence keep beta = 1
         beta = np.ones_like(emit)
-        trans_t = trans.T.copy()  # contiguous: a transposed view takes a slower matmul path
-        for t in range(self.l_max - 2, -1, -1):
-            lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
-            b = np.dot(emit[next_lo : next_lo + k] * beta[next_lo : next_lo + k], trans_t)
-            beta[lo : lo + k] = b / np.dot(b, ones)[:, None]
+        b = self._chain(plan.backward, emit, trans.T, max_plus=False)[n:] @ trans.T
+        beta[self.prev_rows] = b / b.sum(axis=1)[:, None]
 
         gamma = alpha * beta
         norm = gamma.sum(axis=1)
@@ -491,22 +603,104 @@ class PackedBatch:
         """Packed label ids of each sequence's highest-scoring labeling.
 
         Ties resolve to the lexicographically smallest sequence under
-        B < M < E < S: the max recursion runs backward and the labels are
-        read out forward, each step taking the first label that still
-        attains the optimum.  Breaking ties at backpointers instead would
-        minimize late positions rather than early ones.
+        B < M < E < S: the best score of every continuation is scanned
+        backward (max-plus), and the labels are read out forward, each
+        step taking the first label that still attains the optimum.  The
+        read-out scans the maps ``previous label -> label`` by
+        composition, which is exact, so ties among the best scores break
+        as in a step-by-step read-out.  Breaking ties at backpointers
+        instead would minimize late positions rather than early ones.
         """
-        best = e.copy()
-        offset, active = self._step_tables()
-        for t in range(self.l_max - 2, -1, -1):
-            lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
-            best[lo : lo + k] += (w_t + best[next_lo : next_lo + k, None, :]).max(axis=2)
+        plan = self._plan
+        best = self._chain(plan.backward, e, w_t.T, max_plus=True)[plan.forward].T
+        maps = _first_argmax(w_t, best)
+        maps[:, plan.starts] = best[:, plan.starts].argmax(axis=0)
         labels = np.empty(self.n_rows, dtype=np.intp)
-        labels[: self.n] = best[: self.n].argmax(axis=1)
-        for t in range(1, self.l_max):
-            prev_lo, lo, k = offset[t - 1], offset[t], active[t]
-            labels[lo : lo + k] = (w_t[labels[prev_lo : prev_lo + k]] + best[lo : lo + k]).argmax(axis=1)
+        labels[plan.forward] = self._scan(maps[:, : len(plan.chunk_end)], maps, _compose_maps, _apply_map, 0)
         return labels
+
+
+@dataclass(frozen=True)
+class _ChunkPlan:
+    """Index arrays of :meth:`PackedBatch._plan`, O(positions) in all.
+
+    ``forward[i]`` and ``backward[i]`` are the packed rows of scan row
+    ``i`` in either direction.  Scan rows ``0 .. len(chunk_end) - 1`` are
+    the first rows of the chunks; ``starts`` are those that begin a
+    sequence.  ``carry_slot[i]`` is the carry slot of the chunk of scan
+    row ``i``, and ``chunk_end[slot]`` the scan row that ends that chunk.
+    ``in_chunk`` and ``across`` are the steps of the first two phases,
+    each ``(lo, prev_lo, count)``: rows (or slots) ``lo : lo + count``
+    follow ``prev_lo : prev_lo + count``.
+    """
+
+    forward: np.ndarray
+    backward: np.ndarray
+    starts: np.ndarray
+    carry_slot: np.ndarray
+    chunk_end: np.ndarray
+    in_chunk: list[tuple[int, int, int]]
+    across: list[tuple[int, int, int]]
+
+
+def _chunk_length(l_max: int) -> int:
+    """Positions per chunk, ceil(sqrt(l_max)): a scan then takes about
+    as many steps inside chunks as across them."""
+    return math.isqrt(l_max - 1) + 1
+
+
+def _slices(start: np.ndarray, count: np.ndarray) -> list[tuple[int, int, int]]:
+    return list(zip(start[1:].tolist(), start[:-1].tolist(), count[1:].tolist()))
+
+
+# The semirings of the chains, label-major: prefixes are (4, 4, rows) and
+# states (4, rows).  A prefix p maps a state x to sum_i x(i) p(i, j), or
+# max_i (x(i) + p(i, j)); a row's step is trans(i, j) * v(j), or
+# trans(i, j) + v(j), so extending a prefix is one product with trans.
+
+
+def _sum_product(trans_t: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    q = np.matmul(trans_t, p)  # q[i] = trans.T @ p[i]: one small GEMM per label
+    q *= v
+    q /= q.reshape(N_LABELS * N_LABELS, -1).sum(axis=0)
+    return q
+
+
+def _sum_product_apply(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    y = np.einsum("ir,ijr->jr", x, p)
+    y /= y.sum(axis=0)
+    return y
+
+
+def _max_plus(trans: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    q = p[:, 0, None, :] + trans[0, :, None]
+    for k in range(1, N_LABELS):
+        np.maximum(q, p[:, k, None, :] + trans[k, :, None], out=q)
+    q += v
+    return q
+
+
+def _max_plus_apply(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (x[:, None, :] + p).max(axis=0)
+
+
+def _first_argmax(w_t: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """maps[i, r]: the first label j maximizing w_t[i, j] + best[j, r]."""
+    top = w_t[:, 0, None] + best[0]
+    maps = np.zeros(top.shape, dtype=np.intp)
+    for j in range(1, N_LABELS):
+        score = w_t[:, j, None] + best[j]
+        maps[score > top] = j
+        np.maximum(top, score, out=top)
+    return maps
+
+
+def _compose_maps(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g[f, np.arange(g.shape[1])]
+
+
+def _apply_map(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return f[x, np.arange(f.shape[1])]
 
 
 def _training_batch(registry: FeatureRegistry, instances: Sequence[TrainingInstance]) -> PackedBatch:

@@ -1,4 +1,4 @@
-"""Per-position reference forms for the tests.
+"""Reference forms for the tests.
 
 The program takes features only as :class:`~patseg.crf.FeatureColumns`.
 Tests write hand-made inputs as per-position rows, lists of
@@ -6,14 +6,20 @@ Tests write hand-made inputs as per-position rows, lists of
 one line per character position with TAB-separated ``template-id=value``
 pairs in template order and a blank line between sentences, pins the
 extractor's output format against a golden file.
+
+The CRF passes run as chunked scans.  Their step-by-step forms,
+:func:`sequential_forward_backward` and :func:`sequential_viterbi`, are
+the oracle for batches too long to enumerate.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from patseg.corpus import LABELS
-from patseg.crf import FeatureColumns, FeatureRegistry, TrainingInstance
+from patseg.crf import FeatureColumns, FeatureRegistry, PackedBatch, TrainingInstance
 
 Row = list[tuple[str, str]]
 
@@ -68,3 +74,54 @@ def write_feature_dump(fh: TextIO, sentence_features: Iterable[Iterable[Row]]) -
         for fv in rows:
             fh.write("\t".join(f"{t}={v}" for t, v in fv))
             fh.write("\n")
+
+
+def sequential_forward_backward(batch: PackedBatch, e: np.ndarray, w_t: np.ndarray):
+    """:meth:`PackedBatch.forward_backward` one step at a time: alpha and
+    beta renormalized at every row, log Z from the row scales."""
+    shift = e.max(axis=1)
+    emit = np.exp(e - shift[:, None])
+    t_shift = w_t.max()
+    trans = np.exp(w_t - t_shift)
+    alpha = np.empty_like(emit)
+    scale = np.empty(batch.n_rows)
+    n, offset, active = batch.n, batch.offset, batch.active
+    scale[:n] = emit[:n].sum(axis=1)
+    alpha[:n] = emit[:n] / scale[:n, None]
+    for t in range(1, batch.l_max):
+        prev_lo, lo, k = offset[t - 1], offset[t], active[t]
+        a = alpha[prev_lo : prev_lo + k] @ trans * emit[lo : lo + k]
+        scale[lo : lo + k] = a.sum(axis=1)
+        alpha[lo : lo + k] = a / scale[lo : lo + k, None]
+    log_z = np.bincount(batch.seq_of_row, np.log(scale) + shift, minlength=n)
+    log_z += (batch.lengths - 1) * t_shift
+
+    beta = np.ones_like(emit)
+    for t in range(batch.l_max - 2, -1, -1):
+        lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
+        b = (emit[next_lo : next_lo + k] * beta[next_lo : next_lo + k]) @ trans.T
+        beta[lo : lo + k] = b / b.sum(axis=1)[:, None]
+
+    gamma = alpha * beta
+    norm = gamma.sum(axis=1)
+    gamma /= norm[:, None]
+    later = emit[n:] * beta[n:] / (scale[n:] * norm[n:])[:, None]
+    xi = trans * (alpha[batch.prev_rows].T @ later)
+    return log_z, gamma, xi
+
+
+def sequential_viterbi(batch: PackedBatch, e: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """:meth:`PackedBatch.viterbi` one step at a time: the max recursion
+    backward, then the labels read out forward, each the first label that
+    still attains the optimum."""
+    best = e.copy()
+    offset, active = batch.offset, batch.active
+    for t in range(batch.l_max - 2, -1, -1):
+        lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
+        best[lo : lo + k] += (w_t + best[next_lo : next_lo + k, None, :]).max(axis=2)
+    labels = np.empty(batch.n_rows, dtype=np.intp)
+    labels[: batch.n] = best[: batch.n].argmax(axis=1)
+    for t in range(1, batch.l_max):
+        prev_lo, lo, k = offset[t - 1], offset[t], active[t]
+        labels[lo : lo + k] = (w_t[labels[prev_lo : prev_lo + k]] + best[lo : lo + k]).argmax(axis=1)
+    return labels

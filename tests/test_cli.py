@@ -4,11 +4,14 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patseg import adaptation, crf
 from patseg.cli import main
@@ -225,6 +228,63 @@ class TestSegment:
         result = run("eval", "--gold", str(gold), "--pred", str(workspace / "pred_sep"))
         assert result.exit_code == 0, result.output
         assert "f1 " in result.output
+
+    def test_a_space_in_a_raw_line_is_refused(self, workspace):
+        """Words are separated by U+0020 in segmented output, so a raw line
+        holding one has no output line; tab, U+3000 and U+00A0 are
+        ordinary characters."""
+        run("train", "--config", cfg_path(workspace))
+        raw_lines = ["干扰素\t很好", "地板\u3000好", "很\xa0大"]
+        raw = workspace / "raw_ws"
+        raw.mkdir()
+        (raw / "a.txt").write_text("".join(ln + "\n" for ln in raw_lines), encoding="utf-8")
+        args = ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(raw),
+                "--output", str(workspace / "pred_ws")]
+        result = run(*args)
+        assert result.exit_code == 0, result.output
+        out = (workspace / "pred_ws" / "a.seg").read_text(encoding="utf-8").split("\n")
+        assert [ln.replace(" ", "") for ln in out] == raw_lines + [""]
+
+        (raw / "b.txt").write_text("地板好\nab cd专利\n", encoding="utf-8")
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:invalid: ")
+        assert f"{raw / 'b.txt'}:2:" in result.stderr and "U+0020" in result.stderr
+        assert not (workspace / "pred_ws" / "b.seg").exists()
+
+    def test_arbitrary_unicode_lines_round_trip(self, workspace):
+        """raw -> segment -> eval over lines drawn from Hanzi, Latin,
+        digits, full-width forms and Unicode separators other than line
+        ends and U+0020: every output line rebuilds its raw line, and eval
+        reads the output back."""
+        run("train", "--config", cfg_path(workspace))
+        model = str(workspace / "out" / "model.crf")
+        chars = st.one_of(
+            st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),  # CJK ideographs
+            st.characters(min_codepoint=0x21, max_codepoint=0x7E),  # printable ASCII but space
+            st.characters(min_codepoint=0xC0, max_codepoint=0x17F),  # Latin-1 and Latin Extended-A letters
+            st.characters(min_codepoint=0xFF01, max_codepoint=0xFF5E),  # full-width forms
+            st.sampled_from("\t\x0c\x85\u2028\u3000"),
+        )
+
+        @settings(max_examples=50, deadline=None)
+        @given(st.lists(st.text(chars, max_size=20), min_size=1, max_size=5).filter(any))
+        def round_trip(lines):
+            with tempfile.TemporaryDirectory() as tmp:
+                raw, gold, pred = Path(tmp, "raw"), Path(tmp, "gold"), Path(tmp, "pred")
+                raw.mkdir()
+                gold.mkdir()
+                text = "".join(ln + "\n" for ln in lines)
+                (raw / "a.txt").write_text(text, encoding="utf-8")
+                (gold / "a.seg").write_text(text, encoding="utf-8")  # each line one word
+                result = run("segment", "--model", model, "--input", str(raw), "--output", str(pred))
+                assert result.exit_code == 0, result.output
+                out = (pred / "a.seg").read_text(encoding="utf-8").split("\n")
+                assert [ln.replace(" ", "") for ln in out] == lines + [""]
+                result = run("eval", "--gold", str(gold), "--pred", str(pred))
+                assert result.exit_code == 0, result.output
+
+        round_trip()
 
     def test_two_files_with_one_document_id_are_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))

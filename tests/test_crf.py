@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patseg import corpus
+from patseg import corpus, crf
 from patseg.corpus import LABELS, decode_bmes, encode_bmes
 from patseg.char_features import cf_features, char_types
 from patseg.crf import (
@@ -29,7 +29,15 @@ from patseg.crf import (
     train,
 )
 
-from _reference import columns_from_rows, emission_index, instance, run_of, transition_index
+from _reference import (
+    columns_from_rows,
+    emission_index,
+    instance,
+    run_of,
+    sequential_forward_backward,
+    sequential_viterbi,
+    transition_index,
+)
 
 
 def random_instance(rng, length, n_templates=3, n_values=4):
@@ -425,6 +433,87 @@ class TestGradient:
         np.testing.assert_allclose(grad1, grad0 - lam * w, atol=1e-9)
 
 
+class TestChunkedScan:
+    """The chunked scans against their step-by-step forms in
+    ``_reference``, on batches too long to enumerate."""
+
+    @staticmethod
+    def ragged_batch(rng, lengths):
+        lengths = rng.permutation(lengths)
+        return PackedBatch(np.zeros((0, int(lengths.sum())), dtype=np.intp), lengths, 0)
+
+    def test_long_ragged_batches_match_the_sequential_passes(self):
+        """Lengths 1-3,000 in one batch: log Z, marginals and expected
+        transition counts to 1e-12 relative, Viterbi labels equal, with
+        real and with integer weights (exact ties)."""
+        rng = np.random.default_rng(21)
+        for trial in range(4):
+            lengths = np.concatenate([[3000, 1, 2], rng.integers(1, 3001, 5), rng.integers(1, 40, 30)])
+            batch = self.ragged_batch(rng, lengths)
+            if trial % 2:
+                e = rng.integers(-2, 3, (batch.n_rows, len(LABELS))).astype(float)
+                w_t = rng.integers(-2, 3, (len(LABELS), len(LABELS))).astype(float)
+            else:
+                e = rng.normal(0.0, 3.0, (batch.n_rows, len(LABELS)))
+                w_t = rng.normal(0.0, 3.0, (len(LABELS), len(LABELS)))
+            for got, expected in zip(batch.forward_backward(e, w_t), sequential_forward_backward(batch, e, w_t)):
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+            assert np.array_equal(batch.viterbi(e, w_t), sequential_viterbi(batch, e, w_t))
+
+    def test_decoding_memory_follows_positions_not_the_longest_sentence(self):
+        """Adding one 20,000-position sentence to 200 short ones raises
+        Viterbi's peak memory at most in proportion to the positions: no
+        chunks x sequences array is formed."""
+        rng = np.random.default_rng(22)
+        short = [random_instance(rng, 10) for _ in range(200)]
+        long = random_instance(rng, 20_000)
+        reg = build_registry(short + [long])
+        model = CrfModel(reg, rng.normal(0.0, 0.5, reg.n_weights))
+        short_run = run_of([list(inst.features) for inst in short])
+        both_run = FeatureColumns(
+            short_run.templates,
+            tuple(list(c) + list(lc) for c, lc in zip(short_run.columns, long.features.columns)),
+            short_run.lengths + long.features.lengths,
+        )
+
+        def peak(columns):
+            tracemalloc.start()
+            try:
+                model.viterbi(columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        positions = len(short_run)
+        ratio = (positions + len(long.gold)) / positions
+        assert peak(both_run) <= 1.2 * peak(short_run) * ratio
+
+
+# the enumeration oracles, run again with chunks of 1, 2 and 3 positions, so
+# that chunk boundaries and sequences ending mid-chunk occur at lengths <= 8
+ENUMERATION_ORACLES = [
+    (TestViterbi, "test_matches_enumeration_on_random_models"),
+    (TestViterbi, "test_tie_break_with_integer_weights"),
+    (TestViterbi, "test_batched_viterbi_matches_enumeration_on_ragged_batches"),
+    (TestViterbi, "test_rows_of_ragged_arity_decode_as_the_enumeration"),
+    (TestMarginalsAndPartition, "test_matches_enumeration"),
+    (TestMarginalsAndPartition, "test_log_partition_matches_enumeration"),
+    (TestMarginalsAndPartition, "test_a_run_of_sentences_answers_for_each_sentence"),
+    (TestGradient, "test_matches_finite_differences"),
+    (TestGradient, "test_matches_finite_differences_on_a_ragged_batch"),
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("oracle", ENUMERATION_ORACLES, ids=lambda o: f"{o[0].__name__}.{o[1]}")
+def test_enumeration_oracles_with_short_chunks(monkeypatch, size, oracle):
+    monkeypatch.setattr(crf, "_chunk_length", lambda l_max: size)
+    batch = PackedBatch(np.zeros((0, 7), dtype=np.intp), [7], 0)
+    assert len(batch._plan.in_chunk) == size - 1  # the patch is in effect
+    cls, name = oracle
+    getattr(cls(), name)()
+
+
 def toy_training_instances(n_copies=20):
     sent, words = "地板很好", ["地板", "很", "好"]
     types = char_types(sent)
@@ -588,6 +677,20 @@ class TestModelFile:
             assert np.array_equal(copy.weights, original.weights)
             assert copy.config == original.config and copy.manifest == original.manifest
         assert loaded.source.source is None
+        loaded.save(tmp_path / "again.crf")
+        assert (tmp_path / "again.crf").read_bytes() == path.read_bytes()
+
+    def test_equal_values_are_one_object_after_load(self, tmp_path):
+        """A value registered under two templates, and again in the source
+        model, is one string object once loaded; the bytes do not change."""
+        value = "".join(["共", "享"])  # built at run time, so not interned
+        model = CrfModel(FeatureRegistry({"a": {value: 0}, "b": {"x": 1, "共享": 2}}), np.zeros(28))
+        model.source = CrfModel(FeatureRegistry({"c": {"".join(["共", "享"]): 0}}), np.zeros(20))
+        path = tmp_path / "model.crf"
+        model.save(path)
+        loaded = CrfModel.load(path)
+        (a,), (_, b), (c,) = (list(m.registry._slots[t]) for m, t in ((loaded, "a"), (loaded, "b"), (loaded.source, "c")))
+        assert a == "共享" and a is b and a is c
         loaded.save(tmp_path / "again.crf")
         assert (tmp_path / "again.crf").read_bytes() == path.read_bytes()
 
