@@ -10,17 +10,19 @@ get separate weights.
 The easy expansion triples the feature space conceptually: a source
 vector x becomes <x, x, 0> and a target vector <x, 0, x>.  On feature
 columns it renames templates only: every template ``t`` becomes the two
-namespaces ``COM:t`` and ``<domain>:t``, which share the one value
+namespaces ``COM:t`` and ``<domain>:t``, which share the one coded
 column, and the zero block simply has no columns.  ``transit`` adds one
-``TRANSIT`` column of predicted labels.
+``TRANSIT`` column of predicted labels, coded in ``LABELS``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .config import MODES, ConfigError
-from .corpus import Document, decode_bmes, encode_bmes
+from .corpus import LABELS, Document, decode_bmes, encode_bmes
 from .crf import CrfModel, FeatureColumns, TrainConfig, TrainingInstance, train
 from .pipeline import FeatureExtractor
 
@@ -48,20 +50,24 @@ def augment(fv: list[tuple[str, str]], domain: str) -> list[tuple[str, str]]:
 
 
 def _namespaced(columns: FeatureColumns, domain: str) -> FeatureColumns:
-    """The easy expansion of a document's columns for one domain."""
+    """The easy expansion of a document's columns for one domain: the two
+    namespaces of a template share its table and repeat its codes."""
     _check_domain(domain)
     return FeatureColumns(
         tuple(f"{ns}:{t}" for t in columns.templates for ns in (COMMON_PREFIX, domain)),
-        tuple(column for column in columns.columns for _ in range(2)),
+        tuple(table for table in columns.tables for _ in range(2)),
+        np.repeat(columns.codes, 2, axis=0),
         columns.lengths,
     )
 
 
 def _with_transit_labels(source_model: CrfModel, columns: FeatureColumns) -> FeatureColumns:
-    """Add the source model's predicted label at every position as a column."""
+    """Add the source model's predicted label at every position as a
+    column, coded in ``LABELS``."""
     return FeatureColumns(
         columns.templates + (TRANSIT_TEMPLATE,),
-        columns.columns + (source_model.viterbi(columns),),
+        columns.tables + (LABELS,),
+        np.vstack([columns.codes, source_model.label_ids(columns)]),
         columns.lengths,
     )
 

@@ -10,8 +10,8 @@ Window positions that fall off the sentence contribute a reserved
 boundary token instead of dropping the template, so arity is constant at
 every position.
 
-:func:`cf_columns` builds these values for a whole sentence at once, one
-column per template, as slices of the boundary-padded sentence; it is
+:func:`cf_columns` builds these values for a whole document at once, one
+coded column per template over the document's character codes; it is
 what feature extraction uses.  :func:`cf_features` builds the entries of
 one position, one at a time: no training or decoding path calls it, and
 it stays as the per-position definition the columns are checked against.
@@ -22,7 +22,9 @@ from __future__ import annotations
 from operator import add
 from typing import Sequence
 
-from .corpus import CharType, classify_char
+import numpy as np
+
+from .corpus import CharType, Column, DocumentCodes, classify_char
 
 # One feature entry is a (template-id, value) pair; a feature vector is the
 # ordered list of entries for one character position, the per-position
@@ -100,37 +102,56 @@ def cf_features(sentence: str, types: Sequence[CharType], i: int) -> FeatureVect
     return entries
 
 
-_PAD_BEFORE = [boundary_token(-2), boundary_token(-1)]
-_PAD_AFTER = [boundary_token(1), boundary_token(2)]
-
-# Every joined type bigram, boundary tokens included.
-_TYPE_BIGRAMS = {
-    a: {b: a + _TYPE_JOIN + b for b in [*(t.value for t in CharType), _PAD_AFTER[0]]}
-    for a in [*(t.value for t in CharType), _PAD_BEFORE[1]]
-}
+_BOUNDARY = tuple(boundary_token(off) for off in (-2, -1, 1, 2))
+_TYPES = list(CharType)
+# Type codes 0-3 are the types, 4-7 the boundary tokens; the type bigram
+# of codes (a, b) is _TYPE_PAIRS[a * 8 + b].
+_TYPE_TABLE = tuple(t.value for t in _TYPES) + _BOUNDARY
+_TYPE_PAIRS = tuple(a + _TYPE_JOIN + b for a in _TYPE_TABLE for b in _TYPE_TABLE)
 
 
-def cf_columns(sentence: str, types: list[str]) -> list[list[str]]:
-    """The 14 character-window columns of a sentence, in
-    ``CF_TEMPLATE_IDS`` order: row ``i`` of each column is the value
-    :func:`cf_features` gives that template at position ``i``.
+def cf_columns(coded: DocumentCodes) -> list[Column]:
+    """The 14 character-window columns of a document, in
+    ``CF_TEMPLATE_IDS`` order, each a ``(table, codes)`` pair: row ``r``
+    of a column holds ``table[codes[r]]``, the value :func:`cf_features`
+    gives that template at row ``r``'s position.
 
-    ``types`` must be the type names (``CharType.value``) of the
-    sentence's characters.
+    Every sentence is framed by the codes of the four boundary tokens
+    (``_B-2 _B-1`` before it, ``_B+1 _B+2`` after), so a window column is
+    the framed codes shifted by its offset.  Bigram strings are built
+    once per distinct pair of codes, type bigrams come from a fixed
+    table of all 64 pairs.
     """
-    n = len(sentence)
-    # chars[i + 2 + off] is C_{i+off}, a boundary token off the sentence
-    chars = [*_PAD_BEFORE, *sentence, *_PAD_AFTER]
-    unigrams = [chars[2 + off : 2 + off + n] for off in _UNIGRAM_OFFSETS]
-    bigrams = [
-        list(map(add, chars[2 + off : 2 + off + n], chars[3 + off : 3 + off + n])) for off in _BIGRAM_OFFSETS
+    n_rows, n_chars = len(coded.codes), len(coded.chars)
+    n_sentences = len(coded.lengths)
+    # at[r] is row r's index in the framed layout
+    at = np.arange(n_rows) + 4 * np.repeat(np.arange(n_sentences), coded.lengths) + 2
+    framed = np.empty(n_rows + 4 * n_sentences, dtype=np.intp)
+    framed[at] = coded.codes
+    before = coded.starts + 4 * np.arange(n_sentences)
+    after = before + coded.lengths + 2
+    for k, pos in enumerate((before, before + 1, after, after + 1)):
+        framed[pos] = n_chars + k
+    unigram_table = coded.chars + list(_BOUNDARY)
+    pair_table, pair_codes = _pairs(unigram_table, framed[:-1], framed[1:])
+    skip_table, skip_codes = _pairs(unigram_table, framed[:-2], framed[2:])
+
+    char_type = list(map(_TYPES.index, map(classify_char, coded.chars)))
+    types = np.array(char_type + [4, 5, 6, 7], dtype=np.intp)[framed]
+    return [
+        *((unigram_table, framed[at + off]) for off in _UNIGRAM_OFFSETS),
+        *((pair_table, pair_codes[at + off]) for off in _BIGRAM_OFFSETS),
+        (skip_table, skip_codes[at - 1]),
+        (_TYPE_TABLE, types[at]),
+        (_TYPE_PAIRS, types[at - 1] * 8 + types[at]),
+        (_TYPE_PAIRS, types[at] * 8 + types[at + 1]),
+        (_TYPE_PAIRS, types[at - 1] * 8 + types[at + 1]),
     ]
-    skip = list(map(add, chars[1 : 1 + n], chars[3 : 3 + n]))
-    # padded[i + 1 + off] is T_{i+off}
-    padded = [_PAD_BEFORE[1], *types, _PAD_AFTER[0]]
-    before, after = padded[:n], padded[2:]
 
-    def joined(left: list[str], right: list[str]) -> list[str]:
-        return [_TYPE_BIGRAMS[a][b] for a, b in zip(left, right)]
 
-    return [*unigrams, *bigrams, skip, types, joined(before, types), joined(types, after), joined(before, after)]
+def _pairs(table: list[str], left: np.ndarray, right: np.ndarray) -> Column:
+    """The distinct concatenations ``table[left[k]] + table[right[k]]``
+    and the code of every k among them."""
+    distinct, codes = np.unique(left * len(table) + right, return_inverse=True)
+    a, b = np.divmod(distinct, len(table))
+    return list(map(add, map(table.__getitem__, a.tolist()), map(table.__getitem__, b.tolist()))), codes.reshape(-1)

@@ -15,8 +15,11 @@ import enum
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 LABELS = ("B", "M", "E", "S")
 
@@ -94,6 +97,75 @@ class Document:
         return sum(len(ws) for ws in self.words)
 
 
+# A coded feature column: a table of distinct values and one code per row,
+# row r holding table[codes[r]].
+Column = tuple[Sequence["str | None"], np.ndarray]
+
+
+@dataclass(frozen=True)
+class NGramIds:
+    """Ids of the n-grams that lie inside one sentence.
+
+    ``ids[r]`` numbers the n-gram starting at row ``r``, equal n-grams
+    alike, or is -1 where the n-gram would leave its sentence; ``first[k]``
+    is the first row of n-gram ``k``.
+    """
+
+    ids: np.ndarray
+    first: np.ndarray
+
+
+@dataclass(frozen=True)
+class DocumentCodes:
+    """A document's text as integer codes, coded once for every feature.
+
+    Rows run through the sentences in order, one per character.
+    ``chars`` are the document's distinct characters in code point order
+    and ``codes[r]`` is the index in ``chars`` of row ``r``'s character.
+    ``remaining[r]`` counts the characters from row ``r`` to the end of
+    its sentence, so the n-gram starting at ``r`` stays inside its
+    sentence exactly when ``remaining[r] >= n``.
+    """
+
+    text: str
+    chars: list[str]
+    codes: np.ndarray
+    lengths: np.ndarray
+    remaining: np.ndarray
+
+    @classmethod
+    def of(cls, doc: Document) -> "DocumentCodes":
+        text = "".join(doc.sentences)
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        distinct, codes = np.unique(points, return_inverse=True)
+        lengths = np.fromiter(map(len, doc.sentences), dtype=np.intp, count=len(doc.sentences))
+        remaining = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(text))
+        return cls(text, list(map(chr, distinct.tolist())), codes.reshape(-1), lengths, remaining)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The row of every sentence's first character."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
+    def bigrams(self) -> NGramIds:
+        return self._extend(self.codes, 2)
+
+    @cached_property
+    def trigrams(self) -> NGramIds:
+        return self._extend(self.bigrams.ids, 3)
+
+    def _extend(self, shorter: np.ndarray, n: int) -> NGramIds:
+        """The n-grams, each keyed by the id of its first n - 1
+        characters (``shorter``) and its last character's code."""
+        rows = np.flatnonzero(self.remaining >= n)
+        keys = shorter[rows] * len(self.chars) + self.codes[rows + n - 1]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ids = np.full(len(self.codes), -1, dtype=np.intp)
+        ids[rows] = inverse.reshape(-1)
+        return NGramIds(ids, rows[first])
+
+
 def encode_bmes(words: Sequence[str]) -> list[str]:
     """Tag every character of a segmented sentence with B/M/E/S.
 
@@ -158,16 +230,30 @@ def _parse_segmented_line(line: str, path: Path, lineno: int) -> tuple[str, ...]
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 text file, the one line reader for every corpus.
+    """Lines of a UTF-8 text file, the one line reader for every corpus
+    and knowledge-archive file.
 
     Lines end at "\n", "\r\n" or "\r" only.  Other Unicode line
     boundaries (form feed, U+0085, U+2028, ...) stay inside their line,
-    so a raw file and its segmentation line up one to one.
+    so a raw file and its segmentation line up one to one.  Bytes that
+    are not UTF-8 raise :class:`ParseError` naming the file and line.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = _newlines(data[: exc.start]).count(b"\n") + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    lines = _newlines(text).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _newlines(text: str | bytes) -> str | bytes:
+    """``text`` with every line end made "\n"."""
+    cr, lf = ("\r", "\n") if isinstance(text, str) else (b"\r", b"\n")
+    return text.replace(cr + lf, lf).replace(cr, lf)
 
 
 def _read_document(path: Path, mode: str) -> Document | None:

@@ -6,15 +6,19 @@ output labels to form indicator weights, plus the 16 label-to-label
 transition weights.  Unseen feature values score 0 at test time.
 
 Features reach the CRF in one form, :class:`FeatureColumns`: for a run of
-sentences, one value column per template, row ``r`` of every column
-being one character position.  The :class:`FeatureRegistry` keeps one
+sentences, one coded column per template, row ``r`` of every column
+being one character position.  A coded column is a table of distinct
+values plus one integer code per row; feature extraction builds one
+table per template and document, and every sentence cut from the
+document shares it.  The :class:`FeatureRegistry` keeps one
 value-to-slot dictionary per template (CRFsuite's attribute
-dictionaries); it is built once from the training instances and only
-read after that.  Compiling a batch maps each column through its
-template's dictionary once, giving a templates-by-rows matrix of integer
-slot ids in which the sentinel id ``n_slots`` stands for every
-unregistered value.  No (template-id, value) pair is formed per position
-when training or decoding.
+dictionaries); it is built once from the training instances, looking
+up each distinct value of a table once, and only read after that.
+Compiling a batch maps each table through its template's dictionary
+once and indexes the result with the codes, giving a templates-by-rows
+matrix of integer slot ids in which the sentinel id ``n_slots`` stands
+for every unregistered value.  No value is looked up per position when
+training or decoding.
 
 Training maximizes the L2-regularized mean log-likelihood with exact
 gradients from forward-backward.  The optimizer is a batch quasi-Newton
@@ -66,8 +70,11 @@ each model's slot ids, in the order of those values, as little-endian
 int32, then its weights as little-endian float64.  Loading checks every
 part, so a damaged or hostile file is refused and nothing in it runs.
 
-Viterbi ties are broken toward the lexicographically smallest sequence
-under the label order B < M < E < S at the earliest differing position.
+Viterbi breaks ties between labelings whose scores are equal in floating
+point toward the lexicographically smallest sequence under the label
+order B < M < E < S at the earliest differing position.  Scores that are
+equal only in exact arithmetic may differ in their last bits, depending
+on the order in which the scan sums them, and the higher one wins.
 """
 
 from __future__ import annotations
@@ -76,7 +83,6 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -107,59 +113,72 @@ class TrainConfig:
     feature_cutoff: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureColumns:
-    """Feature values of a run of sentences, one column per template.
+    """Feature values of a run of sentences, one coded column per template.
 
-    ``columns[j][r]`` is the value of template ``templates[j]`` at row
-    ``r``; rows run through the sentences in order, ``lengths[s]`` rows
-    for sentence ``s``.  Two templates may share one column object, and
-    a ``None`` value means the row has no entry for that template.
+    Column ``j`` is a table of distinct values, ``tables[j]``, and one
+    code per row, ``codes[j]``: row ``r`` holds ``tables[j][codes[j, r]]``,
+    and a ``None`` entry means the row has no entry for that template.
+    ``codes`` is templates by rows; rows run through the sentences in
+    order, ``lengths[s]`` rows for sentence ``s``.  Columns may share a
+    table object, and the sentences cut from one run share its tables.
     Iterating yields each row as a list of (template-id, value) pairs in
-    template order.
+    template order; two runs are equal when those values are.
     """
 
     templates: tuple[str, ...]
-    columns: tuple[Sequence[str | None], ...]
+    tables: tuple[Sequence[str | None], ...]
+    codes: np.ndarray
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.columns) != len(self.templates):
-            raise ValueError("one column per template is needed")
-        n_rows = sum(self.lengths)
-        if any(len(c) != n_rows for c in self.columns):
-            raise ValueError("columns not aligned to the sentence lengths")
+        if len(self.tables) != len(self.templates):
+            raise ValueError("one table per template is needed")
+        if self.codes.shape != (len(self.templates), sum(self.lengths)):
+            raise ValueError("codes must be templates by rows, aligned to the sentence lengths")
 
     def __len__(self) -> int:
         return sum(self.lengths)
 
+    def values(self) -> list[list[str | None]]:
+        """Every column's values, row by row."""
+        return [list(map(table.__getitem__, codes.tolist())) for table, codes in zip(self.tables, self.codes)]
+
     def __iter__(self) -> Iterator[list[tuple[str, str]]]:
         templates = self.templates
-        rows = zip(*self.columns) if self.columns else itertools.repeat((), len(self))
+        rows = zip(*self.values()) if self.templates else itertools.repeat((), len(self))
         return ([(t, v) for t, v in zip(templates, values) if v is not None] for values in rows)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeatureColumns):
+            return NotImplemented
+        return (self.templates, self.lengths) == (other.templates, other.lengths) and self.values() == other.values()
+
     def sentences(self) -> list["FeatureColumns"]:
-        """One FeatureColumns per sentence."""
+        """One FeatureColumns per sentence, sharing this run's tables."""
         out = []
         start = 0
         for n in self.lengths:
-            out.append(FeatureColumns(self.templates, tuple(c[start : start + n] for c in self.columns), (n,)))
+            out.append(FeatureColumns(self.templates, self.tables, self.codes[:, start : start + n], (n,)))
             start += n
         return out
 
 
 def _merge_runs(runs: Sequence[FeatureColumns]) -> list[FeatureColumns]:
-    """Consecutive runs with the same templates joined into one block."""
+    """Consecutive runs with the same templates and the same tables object,
+    such as the sentences cut from one document, joined into one block by
+    concatenating their codes."""
     blocks = []
-    for templates, group in itertools.groupby(runs, key=lambda run: run.templates):
+    for _, group in itertools.groupby(runs, key=lambda run: (run.templates, id(run.tables))):
         group = list(group)
         if len(group) == 1:
             blocks.append(group[0])
             continue
-        columns = tuple(
-            list(itertools.chain.from_iterable(run.columns[j] for run in group)) for j in range(len(templates))
-        )
-        blocks.append(FeatureColumns(templates, columns, tuple(n for run in group for n in run.lengths)))
+        first = group[0]
+        codes = np.concatenate([run.codes for run in group], axis=1)
+        lengths = tuple(n for run in group for n in run.lengths)
+        blocks.append(FeatureColumns(first.templates, first.tables, codes, lengths))
     return blocks
 
 
@@ -207,8 +226,9 @@ class FeatureRegistry:
     def compile(self, runs: Sequence[FeatureColumns]) -> np.ndarray:
         """Slot ids of the runs' rows, one row of the result per template.
 
-        Runs with the same templates are compiled as one block, each
-        column through its template's dictionary; a block with fewer
+        Runs sharing tables are compiled as one block.  Each table is
+        mapped through its template's dictionary once, and the block's
+        codes then index the resulting slot ids; a block with fewer
         templates than the widest leaves the sentinel in the rest.
         """
         blocks = _merge_runs(runs)
@@ -216,12 +236,15 @@ class FeatureRegistry:
         ids = np.full((width, sum(len(b) for b in blocks)), self.n_slots, dtype=np.intp)
         start = 0
         for block in blocks:
-            n = len(block)
-            for j, (template_id, column) in enumerate(zip(block.templates, block.columns)):
-                values = self._slots.get(template_id)
-                if values:
-                    found = map(values.get, column, itertools.repeat(self.n_slots))
-                    ids[j, start : start + n] = np.fromiter(found, dtype=np.intp, count=n)
+            n, sizes = len(block), [len(table) for table in block.tables]
+            # every table's slot ids, one after another
+            found = itertools.chain.from_iterable(
+                map(self._slots.get(template_id, {}).get, table, itertools.repeat(self.n_slots))
+                for template_id, table in zip(block.templates, block.tables)
+            )
+            slot_of = np.fromiter(found, dtype=np.intp, count=sum(sizes))
+            offsets = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
+            ids[: len(sizes), start : start + n] = slot_of[block.codes + offsets[:, None]]
             start += n
         return ids
 
@@ -265,12 +288,17 @@ class CrfModel:
         batch = PackedBatch(self.registry.compile([columns]), columns.lengths, self.registry.n_slots)
         return batch, batch.emissions(self._emission_table()), self._transition_weights()
 
-    def viterbi(self, columns: FeatureColumns) -> list[str]:
-        """Highest-scoring labeling of every sentence of the run, in row
-        order, all decoded in one packed pass.  Ties resolve to the
-        lexicographically smallest sequence under B < M < E < S."""
+    def label_ids(self, columns: FeatureColumns) -> np.ndarray:
+        """Highest-scoring labeling of every sentence of the run as indices
+        into ``LABELS``, in row order, all decoded in one packed pass.
+        Ties between labelings whose scores are equal in floating point
+        resolve to the lexicographically smallest under B < M < E < S."""
         batch, e, w_t = self._scores(columns)
-        return _LABEL_NAMES[batch.natural(batch.viterbi(e, w_t))].tolist()
+        return batch.natural(batch.viterbi(e, w_t))
+
+    def viterbi(self, columns: FeatureColumns) -> list[str]:
+        """:meth:`label_ids` as label names."""
+        return _LABEL_NAMES[self.label_ids(columns)].tolist()
 
     def log_partition(self, columns: FeatureColumns) -> float:
         """log Z of the run: the sum of its sentences' log partition
@@ -602,10 +630,13 @@ class PackedBatch:
     def viterbi(self, e: np.ndarray, w_t: np.ndarray) -> np.ndarray:
         """Packed label ids of each sequence's highest-scoring labeling.
 
-        Ties resolve to the lexicographically smallest sequence under
-        B < M < E < S: the best score of every continuation is scanned
-        backward (max-plus), and the labels are read out forward, each
-        step taking the first label that still attains the optimum.  The
+        Ties between labelings whose scores are equal in floating point
+        resolve to the lexicographically smallest sequence under
+        B < M < E < S; a tie that is exact only in real arithmetic goes
+        to whichever score rounds higher.  The best score of every
+        continuation is scanned backward (max-plus), and the labels are
+        read out forward, each step taking the first label that still
+        attains the optimum.  The
         read-out scans the maps ``previous label -> label`` by
         composition, which is exact, so ties among the best scores break
         as in a step-by-step read-out.  Breaking ties at backpointers
@@ -742,44 +773,75 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     ``feature_cutoff`` times, in first-seen order: rows in instance
     order, the entries of a row in template order.
 
-    Works a column at a time: the first row of each value comes from one
-    dictionary built over its column, keyed ``row * width + entry``.
+    Works on distinct codes: each block's column gives every code its
+    first and last row and its count in a few array reductions, and only
+    the distinct values are looked up.  A value's first-seen key is ``row *
+    width + entry``.  Each template's dictionary lists its values (the
+    order a model file stores them in) by the last run of consecutive
+    instances with equal templates that holds them, then the last column
+    of the template holding them there, then their last row in it, all
+    latest first.
     """
     blocks = _merge_runs([inst.features for inst in instances])
     width = max((len(b.templates) for b in blocks), default=0)
-    first: dict[str, dict[str, int]] = {}
-    counts: dict[str, Counter] = {}
-    start = 0
+    n_rows = sum(len(b) for b in blocks)
+    # per template: value -> an id unique to it (with gaps), and the
+    # (ids, first-seen keys, order keys, counts) of every column
+    value_ids: dict[str, dict[str | None, int]] = {}
+    seen: dict[str, list[tuple[np.ndarray, ...]]] = {}
+    fresh = itertools.count()
+    start, group, templates = 0, -1, None
     for block in blocks:
-        n = len(block)
-        for j, (template_id, column) in enumerate(zip(block.templates, block.columns)):
-            keys = range(start * width + j, (start + n) * width, width)
-            # built back to front, so every value keeps its first key
-            seen = dict(zip(reversed(column), reversed(keys)))
-            seen.pop(None, None)
-            for value, key in first.get(template_id, {}).items():
-                if seen.get(value, key) >= key:
-                    seen[value] = key
-            first[template_id] = seen
-            if feature_cutoff > 1:
-                counts.setdefault(template_id, Counter()).update(column)
-        start += n
+        if block.templates != templates:
+            group, templates = group + 1, block.templates
+        for j, (template_id, table, codes) in enumerate(zip(block.templates, block.tables, block.codes)):
+            present, first_row, last_row, count = _occurrences(codes, len(table))
+            values = map(table.__getitem__, present.tolist())
+            assign = value_ids.setdefault(template_id, {}).setdefault
+            ids = np.fromiter(map(assign, values, fresh), dtype=np.int64, count=len(present))
+            order_key = (group * width + j) * n_rows + start + last_row
+            seen.setdefault(template_id, []).append((ids, (start + first_row) * width + j, order_key, count))
+        start += len(block)
 
-    if feature_cutoff > 1:
-        first = {
-            t: {v: key for v, key in seen.items() if counts[t][v] >= feature_cutoff}
-            for t, seen in first.items()
-        }
-    keys = [np.fromiter(seen.values(), dtype=np.int64, count=len(seen)) for seen in first.values()]
-    flat = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    kept: dict[str, tuple[list[str], np.ndarray]] = {}
+    for template_id, parts in seen.items():
+        ids, first_key, order_key, count = (np.concatenate(column) for column in zip(*parts))
+        values = list(value_ids[template_id])
+        # ids were handed out in increasing order, so a value's rank among them is its index
+        where = np.searchsorted(np.fromiter(value_ids[template_id].values(), dtype=np.int64, count=len(values)), ids)
+        first = np.full(len(values), np.iinfo(np.int64).max)
+        np.minimum.at(first, where, first_key)
+        latest = np.full(len(values), -1, dtype=np.int64)
+        np.maximum.at(latest, where, order_key)
+        enough = np.bincount(where, weights=count, minlength=len(values)) >= feature_cutoff
+        if None in value_ids[template_id]:
+            enough[values.index(None)] = False
+        listed = np.flatnonzero(enough)
+        listed = listed[np.argsort(-latest[listed])]
+        kept[template_id] = (list(map(values.__getitem__, listed.tolist())), first[listed])
+
+    flat = np.concatenate([keys for _, keys in kept.values()]) if kept else np.empty(0, dtype=np.int64)
     slots = np.empty(len(flat), dtype=np.intp)
     slots[np.argsort(flat, kind="stable")] = np.arange(len(flat))
     per_template = {}
     lo = 0
-    for template_id, seen in first.items():
-        per_template[template_id] = dict(zip(seen, slots[lo : lo + len(seen)].tolist()))
-        lo += len(seen)
+    for template_id, (values, _) in kept.items():
+        per_template[template_id] = dict(zip(values, slots[lo : lo + len(values)].tolist()))
+        lo += len(values)
     return FeatureRegistry(per_template)
+
+
+def _occurrences(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every code of a column that occurs, with its first row, last row
+    and count; the codes are below ``n_codes``."""
+    rows = np.arange(len(codes))
+    first = np.full(n_codes, len(codes))
+    np.minimum.at(first, codes, rows)
+    last = np.full(n_codes, -1)
+    np.maximum.at(last, codes, rows)
+    count = np.bincount(codes, minlength=n_codes)
+    present = np.flatnonzero(count)
+    return present, first[present], last[present], count[present]
 
 
 def train(

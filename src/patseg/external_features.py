@@ -4,8 +4,11 @@ Three artifacts are extracted offline from a source-domain corpus: a
 character POS lexicon (most frequent tag of each single-character word),
 a dictionary of 2- and 3-character word types, and a character-similarity
 model built from sentence co-occurrence counts via PPMI and a truncated
-SVD.  The feature functions that consult them are pure lookups, cheap
-enough to run per character position.
+SVD.  :func:`cpos_feature`, :func:`dict_feature` and :func:`sim_features`
+define the features at one position; :func:`cpos_column`,
+:func:`dict_column` and :func:`sim_columns` give a document's coded
+columns, consulting the artifacts once per distinct character, window or
+character pair.
 
 POS-tagged source files use the segmented line format with each token
 written as ``word_TAG``; the tag follows the last underscore.
@@ -15,16 +18,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import Document, ParseError, atomic_write, corpus_files, read_lines
+from .corpus import Column, Document, DocumentCodes, ParseError, atomic_write, corpus_files, read_lines
 from .corpus import checksum as archive_checksum  # noqa: F401  (re-exported: an archive's checksum)
 
 NO_TAG = "<none>"
 ZERO_SIM = "zero"
 SIM_OFFSETS = (-2, -1, 1, 2)
+# discretize_similarity's values: ZERO_SIM, then the interval ids 0-9
+SIM_TABLE = (ZERO_SIM, *(str(k) for k in range(10)))
+DICT_TABLE = ("0", "1")
+_COSINE_BLOCK = 4096
 
 # Five dictionary windows around position i, as (start, end) offsets.
 _DICT_WINDOWS = ((0, 3), (-1, 2), (-2, 1), (0, 2), (-1, 1))
@@ -120,17 +129,35 @@ class SimilarityModel:
     def __contains__(self, char: str) -> bool:
         return char in self._index
 
+    def indices(self, chars: Iterable[str]) -> np.ndarray:
+        """Vocabulary row of every character, -1 for one without a vector."""
+        return np.fromiter(map(self._index.get, chars, repeat(-1)), dtype=np.intp)
+
+    def cosines(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Cosine similarity of the vocabulary rows ``a[k]`` and ``b[k]``
+        for every k, clipped to [-1, 1]; exactly 0 where either row is -1
+        or a zero vector.
+
+        Each cosine is its own row's products summed along the vector,
+        over the product of the two norms, so it does not depend on the
+        other pairs and is symmetric in ``a`` and ``b`` to the last bit.
+        Pairs go through in blocks, so memory stays O(block x dimension)
+        however many pairs there are.
+        """
+        out = np.zeros(len(a))
+        known = np.flatnonzero((a >= 0) & (b >= 0))
+        both = known[(self._norms[a[known]] != 0.0) & (self._norms[b[known]] != 0.0)]
+        for lo in range(0, len(both), _COSINE_BLOCK):
+            k = both[lo : lo + _COSINE_BLOCK]
+            dots = (self.vectors[a[k]] * self.vectors[b[k]]).sum(axis=1)
+            cos = dots / (self._norms[a[k]] * self._norms[b[k]])
+            # fmin/fmax send NaN (from vectors too large to multiply) to 1
+            out[k] = np.fmax(-1.0, np.fmin(1.0, cos))
+        return out
+
     def similarity(self, a: str, b: str) -> float:
         """Cosine similarity of two characters; 0 when either is unknown."""
-        ia = self._index.get(a)
-        ib = self._index.get(b)
-        if ia is None or ib is None:
-            return 0.0
-        na, nb = self._norms[ia], self._norms[ib]
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        cos = float(np.dot(self.vectors[ia], self.vectors[ib]) / (na * nb))
-        return max(-1.0, min(1.0, cos))
+        return float(self.cosines(self.indices([a]), self.indices([b]))[0])
 
 
 def cooccurrence_matrix(sentences: list[str]) -> tuple[list[str], np.ndarray]:
@@ -236,19 +263,69 @@ def dict_feature(dictionary: set[str], sentence: str, i: int) -> int:
     return 0
 
 
-def dict_column(dictionary: set[str], sentence: str) -> list[str]:
-    """``str(dict_feature(...))`` of every position of a sentence, each
-    two- and three-character window looked up once."""
-    n = len(sentence)
-    hit2 = [sentence[k : k + 2] in dictionary for k in range(n - 1)]
-    hit3 = [sentence[k : k + 3] in dictionary for k in range(n - 2)]
-    # windows starting at i - 1 and i are two[i] and two[i + 1];
-    # those starting at i - 2, i - 1 and i are three[i : i + 3]
-    two = [False, *hit2, False]
-    three = [False, False, *hit3, False, False]
-    return [
-        "1" if three[i] or three[i + 1] or three[i + 2] or two[i] or two[i + 1] else "0" for i in range(n)
-    ]
+def similarity_codes(cosines: np.ndarray) -> np.ndarray:
+    """:func:`discretize_similarity` of every cosine, as indices into
+    ``SIM_TABLE``."""
+    bins = np.clip(np.floor((cosines + 1.0) / 0.2), 0, 9).astype(np.intp) + 1
+    return np.where(cosines == 0.0, 0, bins)
+
+
+def sim_columns(model: SimilarityModel, coded: DocumentCodes) -> list[Column]:
+    """The SIM columns of a document in ``SIM_OFFSETS`` order, coded in
+    ``SIM_TABLE``: the discretized similarity of every character with its
+    neighbor at each offset, ``zero`` past the sentence edges.
+
+    Cosines are computed once per distinct unordered pair of neighboring
+    characters; SIM[-k] at row r is SIM[+k] at row r - k.
+    """
+    codes, n_chars = coded.codes, len(coded.chars)
+    n_rows = len(codes)
+    rows = [np.flatnonzero(coded.remaining > gap) for gap in (1, 2)]
+    pairs = [(codes[r], codes[r + gap]) for gap, r in zip((1, 2), rows)]
+    keys = np.concatenate([np.minimum(x, y) * n_chars + np.maximum(x, y) for x, y in pairs])
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    vocab_row = model.indices(coded.chars)
+    a, b = np.divmod(distinct, n_chars)
+    pair_codes = similarity_codes(model.cosines(vocab_row[a], vocab_row[b]))[inverse.reshape(-1)]
+    # ahead[k, r]: the pair of rows r and r + k
+    ahead = np.zeros((3, n_rows), dtype=np.intp)
+    ahead[1, rows[0]], ahead[2, rows[1]] = np.split(pair_codes, [len(rows[0])])
+    columns = []
+    for off in SIM_OFFSETS:
+        column = ahead[abs(off)]
+        if off < 0:
+            column = np.concatenate([np.zeros(-off, dtype=np.intp), column])[:n_rows]
+        columns.append((SIM_TABLE, column))
+    return columns
+
+
+def cpos_column(lexicon: dict[str, str], coded: DocumentCodes) -> Column:
+    """:func:`cpos_feature` of every row, looked up once per distinct
+    character."""
+    tags = list(map(lexicon.get, coded.chars, repeat(NO_TAG)))
+    table = list(dict.fromkeys(tags))
+    tag_code = dict(zip(table, range(len(table))))
+    per_char = np.fromiter(map(tag_code.__getitem__, tags), dtype=np.intp, count=len(tags))
+    return table, per_char[coded.codes]
+
+
+def dict_column(dictionary: set[str], coded: DocumentCodes) -> Column:
+    """``str(dict_feature(...))`` of every row, coded in ``DICT_TABLE``:
+    each distinct two- and three-character window inside a sentence is
+    looked up once."""
+    text = coded.text
+    hits = []
+    for n, ngrams in ((2, coded.bigrams), (3, coded.trigrams)):
+        words = (text[r : r + n] for r in ngrams.first.tolist())
+        found = np.fromiter(map(dictionary.__contains__, words), dtype=bool, count=len(ngrams.first))
+        # -1 (no window there) reads the appended False
+        hits.append(np.append(found, False)[ngrams.ids])
+    two, three = hits
+    # windows start at r - 1 and r (two characters), r - 2 .. r (three)
+    hit = two | three
+    hit[1:] |= two[:-1] | three[:-1]
+    hit[2:] |= three[:-2]
+    return DICT_TABLE, hit.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -282,19 +359,19 @@ class KnowledgeBase:
         """
         root = Path(path)
         lexicon: dict[str, str] = {}
-        for _, char, tag in _keyed_lines(root / "cpos.tsv"):
+        cpos_path = root / "cpos.tsv"
+        for _, char, tag in _keyed_lines(cpos_path, read_lines(cpos_path)):
             lexicon[char] = tag
-        with open(root / "dict.txt", encoding="utf-8") as fh:
-            dictionary = {line.rstrip("\n") for line in fh if line.rstrip("\n")}
+        dictionary = {line for line in read_lines(root / "dict.txt") if line}
         sim_path = root / "sim.tsv"
-        with open(sim_path, encoding="utf-8") as fh:
-            header = fh.readline().split()
+        sim_lines = read_lines(sim_path)
+        header = sim_lines[0].split() if sim_lines else []
         if len(header) != 2 or not all(h.isdigit() for h in header):
             raise ParseError(f"{sim_path}:1: header is not 'rows dimension'")
         n, k = int(header[0]), int(header[1])
         vocab: list[str] = []
         vectors = np.zeros((n, k), dtype=np.float64)
-        for where, char, cells in _keyed_lines(sim_path, skip=1):
+        for where, char, cells in _keyed_lines(sim_path, sim_lines, skip=1):
             if len(vocab) == n:
                 raise ParseError(f"{where}: more rows than the {n} the header declares")
             try:
@@ -307,18 +384,15 @@ class KnowledgeBase:
         return cls(lexicon, dictionary, SimilarityModel(vocab, vectors))
 
 
-def _keyed_lines(path: Path, skip: int = 0):
-    """(``file:line``, character, rest) of every line ``<char>\\t<rest>``."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno <= skip:
-                continue
-            line = line[:-1] if line.endswith("\n") else line
-            if not line:
-                continue
-            if len(line) < 2 or line[1] != "\t":
-                raise ParseError(f"{path}:{lineno}: expected one character and a tab")
-            yield f"{path}:{lineno}", line[0], line[2:]
+def _keyed_lines(path: Path, lines: list[str], skip: int = 0):
+    """(``file:line``, character, rest) of every line ``<char>\\t<rest>``
+    of ``lines``, read from ``path``."""
+    for lineno, line in enumerate(lines, start=1):
+        if lineno <= skip or not line:
+            continue
+        if len(line) < 2 or line[1] != "\t":
+            raise ParseError(f"{path}:{lineno}: expected one character and a tab")
+        yield f"{path}:{lineno}", line[0], line[2:]
 
 
 def build_knowledge(tagged_source: list[TaggedDocument], k: int) -> KnowledgeBase:

@@ -10,18 +10,40 @@ extractor's output format against a golden file.
 The CRF passes run as chunked scans.  Their step-by-step forms,
 :func:`sequential_forward_backward` and :func:`sequential_viterbi`, are
 the oracle for batches too long to enumerate.
+
+The document statistics run on integer codes.  Their string forms, one
+dictionary entry per n-gram or position, are the oracles of the coded
+ones: :func:`levelwise_lng` for the repeated sequences, and
+:func:`string_trigram_scores` with :func:`string_bins` for PKL/PMI and
+their bins.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from operator import add
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from patseg.corpus import LABELS
+from patseg.corpus import LABELS, Document
 from patseg.crf import FeatureColumns, FeatureRegistry, PackedBatch, TrainingInstance
 
 Row = list[tuple[str, str]]
+
+
+def coded(templates: Sequence[str], columns: Sequence[Sequence[str | None]], lengths: Sequence[int]) -> FeatureColumns:
+    """Value lists as coded columns: each column's table holds its distinct
+    values in first-seen order, None kept as the entry for "no entry"."""
+    tables, codes = [], []
+    for column in columns:
+        index: dict[str | None, int] = {}
+        codes.append([index.setdefault(v, len(index)) for v in column])
+        tables.append(tuple(index))
+    n_rows = sum(lengths)
+    array = np.array(codes, dtype=np.intp).reshape(len(columns), n_rows)
+    return FeatureColumns(tuple(templates), tuple(tables), array, tuple(lengths))
 
 
 def columns_from_rows(rows: Sequence[Row], lengths: Sequence[int] | None = None) -> FeatureColumns:
@@ -44,7 +66,7 @@ def columns_from_rows(rows: Sequence[Row], lengths: Sequence[int] | None = None)
                 templates.append(template_id)
                 columns.append([None] * len(rows))
             columns[j][r] = value
-    return FeatureColumns(tuple(templates), tuple(columns), tuple(lengths or (len(rows),)))
+    return coded(templates, columns, lengths or (len(rows),))
 
 
 def run_of(sentences: Sequence[Sequence[Row]]) -> FeatureColumns:
@@ -54,6 +76,41 @@ def run_of(sentences: Sequence[Sequence[Row]]) -> FeatureColumns:
 
 def instance(rows: Sequence[Row], gold: Sequence[str], source_id: str = "") -> TrainingInstance:
     return TrainingInstance(columns_from_rows(rows), tuple(gold), source_id)
+
+
+def value_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 1) -> dict[str, dict[str, int]]:
+    """The registry's dictionaries built over value lists, one dictionary
+    per column of the instances joined while their templates stay equal,
+    each entry keyed ``row * width + entry``: the oracle for the slots and
+    for the order in which a model file lists each template's values."""
+    blocks: list[tuple[tuple[str, ...], list[list[str | None]]]] = []
+    for inst in instances:
+        columns = inst.features.values()
+        if blocks and blocks[-1][0] == inst.features.templates:
+            for joined, column in zip(blocks[-1][1], columns):
+                joined.extend(column)
+        else:
+            blocks.append((inst.features.templates, columns))
+    width = max((len(templates) for templates, _ in blocks), default=0)
+    first: dict[str, dict[str, int]] = {}
+    counts: dict[str, Counter] = {}
+    start = 0
+    for templates, columns in blocks:
+        n = len(columns[0]) if columns else 0
+        for j, (template_id, column) in enumerate(zip(templates, columns)):
+            keys = range(start * width + j, (start + n) * width, width)
+            seen = dict(zip(reversed(column), reversed(keys)))  # every value keeps its first key
+            seen.pop(None, None)
+            for value, key in first.get(template_id, {}).items():
+                if seen.get(value, key) >= key:
+                    seen[value] = key
+            first[template_id] = seen
+            counts.setdefault(template_id, Counter()).update(column)
+        start += n
+    first = {t: {v: key for v, key in seen.items() if counts[t][v] >= feature_cutoff} for t, seen in first.items()}
+    order = sorted((key, t, v) for t, seen in first.items() for v, key in seen.items())
+    slot = {(t, v): s for s, (_, t, v) in enumerate(order)}
+    return {t: {v: slot[t, v] for v in seen} for t, seen in first.items()}
 
 
 def emission_index(registry: FeatureRegistry, template_id: str, value: str, label: str) -> int:
@@ -125,3 +182,68 @@ def sequential_viterbi(batch: PackedBatch, e: np.ndarray, w_t: np.ndarray) -> np
         prev_lo, lo, k = offset[t - 1], offset[t], active[t]
         labels[lo : lo + k] = (w_t[labels[prev_lo : prev_lo + k]] + best[lo : lo + k]).argmax(axis=1)
     return labels
+
+
+def levelwise_lng(doc: Document) -> set[str]:
+    """Maximal repeated sequences, grown level by level over strings: an
+    (n+1)-gram is counted only where both of its n-grams repeat."""
+    level = Counter()
+    for sent in doc.sentences:
+        level.update(map(add, sent, sent[1:]))
+    survivors = {g for g, c in level.items() if c >= 2}
+    kept: set[str] = set()
+    n = 2
+    while survivors:
+        nxt = Counter()
+        for sent in doc.sentences:
+            repeats = [sent[i : i + n] in survivors for i in range(len(sent) - n + 1)]
+            nxt.update(sent[i : i + n + 1] for i in range(len(sent) - n) if repeats[i] and repeats[i + 1])
+        longer = {g for g, c in nxt.items() if c >= 2}
+        kept.update(survivors - ({g[:-1] for g in longer} | {g[1:] for g in longer}))
+        survivors = longer
+        n += 1
+    return kept
+
+
+def string_trigram_scores(doc: Document) -> dict[str, dict[tuple[int, int], float]]:
+    """PKL1/PKL2/PMI1/PMI2 of every position whose trigram occurs at least
+    twice, from dictionaries of trigram strings and float sums."""
+    raw = Counter(sent[i : i + 3] for sent in doc.sentences for i in range(len(sent) - 2))
+    counts = {t: c for t, c in raw.items() if c >= 2}
+    total = sum(counts.values())
+    p: list[dict[str, float]] = [{}, {}, {}]
+    j12: dict[tuple[str, str], float] = {}
+    j13: dict[tuple[str, str], float] = {}
+    for t, c in counts.items():
+        for slot in range(3):
+            p[slot][t[slot]] = p[slot].get(t[slot], 0.0) + c
+        j12[t[0], t[1]] = j12.get((t[0], t[1]), 0.0) + c
+        j13[t[0], t[2]] = j13.get((t[0], t[2]), 0.0) + c
+    for table in (*p, j12, j13):
+        for key in table:
+            table[key] /= total
+    out: dict[str, dict[tuple[int, int], float]] = {"pkl1": {}, "pkl2": {}, "pmi1": {}, "pmi2": {}}
+    for si, sent in enumerate(doc.sentences):
+        for i in range(len(sent) - 2):
+            if sent[i : i + 3] in counts:
+                x, y, z = sent[i : i + 3]
+                px = p[0][x]
+                out["pkl1"][si, i] = px * math.log(px / p[1][y])
+                out["pkl2"][si, i] = px * math.log(px / p[2][z])
+                out["pmi1"][si, i] = math.log(j12[x, y] / (px * p[1][y]))
+                out["pmi2"][si, i] = math.log(j13[x, z] / (px * p[2][z]))
+    return out
+
+
+def string_bins(scores: dict[tuple[int, int], float], direction: str) -> dict[tuple[int, int], int]:
+    """Five near-equal bins by a sort of (sign * score, position) tuples."""
+    sign = 1.0 if direction == "ascending" else -1.0
+    ranked = sorted(scores, key=lambda pos: (sign * scores[pos], pos))
+    q, r = divmod(len(ranked), 5)
+    bins = {}
+    start = 0
+    for bin_id, size in enumerate([q + 1] * r + [q] * (5 - r), start=1):
+        for pos in ranked[start : start + size]:
+            bins[pos] = bin_id
+        start += size
+    return bins

@@ -538,3 +538,45 @@ class TestConfigErrors:
         )
         assert result.exit_code == 1
         assert "error:config:" in result.stderr
+
+
+class TestInputNotUtf8:
+    """Bytes that are not UTF-8 in any file a command reads are a parse
+    error naming the file and line."""
+
+    @staticmethod
+    def spoil(path, lineno):
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+
+    @staticmethod
+    def assert_parse_error(args, path, lineno):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1
+        assert f"error:parse: {path}:{lineno}: not UTF-8" in result.stderr
+
+    def test_extract_knowledge_names_the_source_file(self, workspace):
+        bad = workspace / "source" / "s1.pos"
+        self.spoil(bad, 2)
+        self.assert_parse_error(["extract-knowledge", "--config", cfg_path(workspace)], bad, 2)
+
+    def test_train_names_the_knowledge_archive_file(self, workspace):
+        run("extract-knowledge", "--config", cfg_path(workspace))
+        bad = workspace / "kb" / "dict.txt"
+        self.spoil(bad, 2)
+        args = ["train", "--config", cfg_path(workspace), "--set", "features.groups=CF,DICT"]
+        self.assert_parse_error(args, bad, 2)
+
+    def test_segment_names_the_raw_file(self, workspace):
+        run("train", "--config", cfg_path(workspace))
+        bad = workspace / "raw" / "r1.txt"
+        self.spoil(bad, 3)
+        args = ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+                "--output", str(workspace / "pred")]
+        self.assert_parse_error(args, bad, 3)
+
+    def test_eval_names_the_gold_file(self, workspace):
+        bad = workspace / "train" / "t2.seg"
+        self.spoil(bad, 2)
+        self.assert_parse_error(["eval", "--gold", str(workspace / "train"), "--pred", str(workspace / "train")], bad, 2)

@@ -155,6 +155,15 @@ class TestReadCorpus:
         assert "p1.seg" in str(err.value)
         assert ":1" in str(err.value)
 
+    def test_bytes_not_utf8_are_a_parse_error_naming_the_line(self, tmp_path):
+        """Lines end at \\n, \\r\\n or \\r when counting, as when reading."""
+        path = tmp_path / "p1.txt"
+        path.write_bytes("地板\r\n很\r好\n".encode("utf-8") + b"\xe5\xa5")
+        with pytest.raises(ParseError, match=r"p1\.txt:4: not UTF-8"):
+            read_corpus(tmp_path, "raw")
+        path.write_bytes("地板\r\n很\r好\n大".encode("utf-8"))
+        assert read_corpus(tmp_path, "raw")[0].sentences == ("地板", "很", "好", "大")
+
     def test_missing_location(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_corpus(tmp_path / "nope", "raw")

@@ -30,12 +30,14 @@ from patseg.crf import (
 )
 
 from _reference import (
+    coded,
     columns_from_rows,
     emission_index,
     instance,
     run_of,
     sequential_forward_backward,
     sequential_viterbi,
+    value_registry,
     transition_index,
 )
 
@@ -254,10 +256,34 @@ class TestColumns:
             TrainingInstance(columns_from_rows(rows), ("S",))
 
     def test_sentences_split_by_length(self):
-        columns = FeatureColumns(("t",), (["a", "b", "c"],), (2, 1))
+        columns = coded(("t",), (["a", "b", "c"],), (2, 1))
         assert [list(s) for s in columns.sentences()] == [[[("t", "a")], [("t", "b")]], [[("t", "c")]]]
+        assert all(s.tables is columns.tables for s in columns.sentences())
         with pytest.raises(ValueError):
-            FeatureColumns(("t",), (["a", "b"],), (3,))
+            FeatureColumns(("t",), (("a", "b"),), np.array([[0, 1]]), (3,))
+
+    def test_equality_and_iteration_read_values_not_codes(self):
+        columns = coded(("t", "u"), (["x", "y", "x"], ["p", None, "p"]), (3,))
+        recoded = FeatureColumns(("t", "u"), (("y", "z", "x"), (None, "p")), np.array([[2, 0, 2], [1, 0, 1]]), (3,))
+        assert columns == recoded
+        assert list(columns) == list(recoded) == [[("t", "x"), ("u", "p")], [("t", "y")], [("t", "x"), ("u", "p")]]
+        assert columns != coded(("t", "u"), (["x", "y", "y"], ["p", None, "p"]), (3,))
+        assert columns != coded(("t", "u"), (["x", "y", "x"], ["p", None, "p"]), (2, 1))
+        assert columns != coded(("t", "v"), (["x", "y", "x"], ["p", None, "p"]), (3,))
+
+    def test_runs_with_different_tables_compile_as_each_alone(self):
+        """Sentences of two documents, each document with its own tables
+        and one of them wider, compile in one call to the ids of
+        compiling the documents one at a time."""
+        rng = np.random.default_rng(26)
+        narrow, wide = (
+            run_of([list(random_instance(rng, int(n), k, n_values=8).features) for n in (3, 1, 4)]) for k in (3, 4)
+        )
+        registry = build_registry([instance(list(run), ("S",) * len(run)) for run in (narrow, wide)][:1])
+        both = registry.compile(narrow.sentences() + wide.sentences())
+        alone = np.hstack([np.vstack([registry.compile([narrow]), np.full((1, len(narrow)), registry.n_slots)]), registry.compile([wide])])
+        assert np.array_equal(both, alone)
+        assert (both == registry.n_slots).any() and (both < registry.n_slots).any()
 
     def test_registry_from_columns_numbers_slots_as_from_rows(self):
         """First-seen order over columns equals the order of registering
@@ -276,6 +302,23 @@ class TestColumns:
                         if counts[key] >= cutoff:
                             expected.setdefault(key, len(expected))
             assert build_registry(instances, cutoff).slot_items() == list(expected.items())
+
+    def test_registry_dictionaries_equal_the_value_list_oracle(self):
+        """Slots and each template's value order (the order a model file
+        stores) equal those built over value lists, for runs cut from
+        documents with their own tables, template sets that change, a
+        template repeated within a row, and every cutoff."""
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            instances = []
+            for _ in range(rng.integers(1, 5)):
+                n_templates = int(rng.integers(1, 4))
+                document = [random_instance(rng, int(n), n_templates, n_values=6) for n in rng.integers(1, 6, rng.integers(1, 4))]
+                instances += [TrainingInstance(s, inst.gold) for s, inst in zip(run_of([list(i.features) for i in document]).sentences(), document)]
+            instances.append(instance([[("t0", "v1"), ("t0", "v9")], [("t0", "v9"), ("t1", "v1"), ("t0", "v2")]], "SS"))
+            for cutoff in (1, 2, 3):
+                got, expected = build_registry(instances, cutoff)._slots, value_registry(instances, cutoff)
+                assert [(t, list(v.items())) for t, v in got.items()] == [(t, list(v.items())) for t, v in expected.items()]
 
     def test_gather_sum_equals_the_sparse_product_exactly(self):
         """Decoding's gather-sum and training's sparse product give the
@@ -470,9 +513,9 @@ class TestChunkedScan:
         reg = build_registry(short + [long])
         model = CrfModel(reg, rng.normal(0.0, 0.5, reg.n_weights))
         short_run = run_of([list(inst.features) for inst in short])
-        both_run = FeatureColumns(
+        both_run = coded(
             short_run.templates,
-            tuple(list(c) + list(lc) for c, lc in zip(short_run.columns, long.features.columns)),
+            [s + lv for s, lv in zip(short_run.values(), long.features.values())],
             short_run.lengths + long.features.lengths,
         )
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,8 @@ from patseg.doc_features import (
     extract_lng,
     lng_label,
 )
+
+from _reference import levelwise_lng, string_bins, string_trigram_scores
 
 
 def doc(*sentences):
@@ -111,6 +114,21 @@ class TestLngLabel:
         lng = extract_lng(doc("abab"))
         assert lng_label(d, lng, 0, 1) == "F"  # S needs i+1 inside the sentence
 
+    def test_matches_the_levelwise_reference_on_long_repeats(self):
+        rng = np.random.default_rng(12)
+        noise = "".join(rng.choice(list("abc"), size=300))
+        d = doc("x" * 400, "ab" * 150, noise, noise[100:250] + "y" * 50)
+        assert extract_lng(d).sequences == levelwise_lng(d)
+
+    def test_long_runs_take_linear_time_per_level(self):
+        """A run of one character repeats at every length up to its own,
+        the worst case; string slicing made it cubic (26 s at 4,000)."""
+        run, periodic = "a" * 4000, "abc" * 1334
+        start = time.perf_counter()
+        assert extract_lng(doc(run)).sequences == {run[:-1]}
+        assert extract_lng(doc(periodic)).sequences == {periodic[:-3]}
+        assert time.perf_counter() - start < 10.0
+
 
 def table_of(*sentences):
     return TrigramTable.from_document(doc(*sentences))
@@ -205,6 +223,21 @@ class TestPmi:
                 y = d.sentences[si][i + 1]
                 if abs(t.joint12(x, y) - t.p1[x] * t.p2[y]) < 1e-12:
                     assert abs(value) < 1e-9
+
+
+class TestAgainstStringReference:
+    def test_scores_and_bins_are_bit_identical(self):
+        """Small alphabets make many equal scores, so the tie rule shows."""
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            alphabet = list("abcdef"[: rng.integers(2, 7)])
+            d = doc(*("".join(rng.choice(alphabet, size=int(rng.integers(1, 30)))) for _ in range(rng.integers(1, 6))))
+            expected = string_trigram_scores(d)
+            (pkl1, pkl2), (pmi1, pmi2) = compute_pkl(d), compute_pmi(d)
+            for name, got in (("pkl1", pkl1), ("pkl2", pkl2), ("pmi1", pmi1), ("pmi2", pmi2)):
+                assert got == expected[name]
+                direction = "ascending" if name.startswith("pkl") else "descending"
+                assert bin_scores(got, direction) == string_bins(expected[name], direction)
 
 
 class TestBinScores:

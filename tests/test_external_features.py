@@ -22,7 +22,9 @@ from patseg.external_features import (
     read_tagged_corpus,
     sim_features,
     NO_TAG,
+    SIM_TABLE,
     ZERO_SIM,
+    similarity_codes,
 )
 
 
@@ -178,6 +180,46 @@ class TestSimilarityModel:
         for a in "abcdef":
             for b in "abcdef":
                 assert -1.0 <= model.similarity(a, b) <= 1.0
+
+
+class TestSimilarityBatch:
+    """The gate for discretizing many pairs at once: the batch bins equal
+    the per-pair ones on every pair of a test knowledge base."""
+
+    def model(self):
+        rng = np.random.default_rng(24)
+        sentences = [
+            "".join(rng.choice(list("地板很好大肠杆菌abcXYZ01"), size=int(rng.integers(2, 15))))
+            for _ in range(60)
+        ]
+        built = build_similarity(sentences, k=5)
+        # one character with a zero vector
+        return SimilarityModel(built.vocab + ["零"], np.vstack([built.vectors, np.zeros(5)]))
+
+    def test_batch_bins_equal_per_pair_bins_on_every_pair(self):
+        model = self.model()
+        chars = model.vocab + ["未"]  # and one without a vector
+        a, b = (np.array(x) for x in zip(*[(x, y) for x in chars for y in chars]))
+        codes = similarity_codes(model.cosines(model.indices(a), model.indices(b)))
+        expected = [discretize_similarity(model.similarity(x, y)) for x, y in zip(a, b)]
+        assert [SIM_TABLE[c] for c in codes] == expected
+        for x, y, value in zip(a, b, expected):
+            if "零" in (x, y) or "未" in (x, y):
+                assert value == ZERO_SIM
+
+    def test_cosines_match_a_dot_product_per_pair(self):
+        model = self.model()
+        rows = np.arange(len(model.vocab))
+        a, b = np.repeat(rows, len(rows)), np.tile(rows, len(rows))
+        got = model.cosines(a, b)
+        norms = np.linalg.norm(model.vectors, axis=1)
+        for i, j, value in zip(a, b, got):
+            if norms[i] == 0.0 or norms[j] == 0.0:
+                assert value == 0.0
+            else:
+                expected = np.dot(model.vectors[i], model.vectors[j]) / (norms[i] * norms[j])
+                assert value == pytest.approx(max(-1.0, min(1.0, expected)), abs=1e-12)
+        assert np.array_equal(got, model.cosines(b, a))
 
 
 class TestSimFeatures:
