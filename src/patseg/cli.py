@@ -232,9 +232,7 @@ def cmd_segment(model_path, input_path, output_path, knowledge_path, config_path
         out_dir.mkdir(parents=True, exist_ok=True)
         for p in corpus_files(input_path):
             out_lines = _segment_file(p, model, extractor, mode)
-            (out_dir / f"{p.stem}.seg").write_text(
-                "".join(line + "\n" for line in out_lines), encoding="utf-8"
-            )
+            atomic_write(out_dir / f"{p.stem}.seg", "".join(line + "\n" for line in out_lines).encode("utf-8"))
         click.echo(f"segmented corpus written to {output_path}")
     except Exception as exc:
         _fail(exc)

@@ -12,8 +12,9 @@ values plus one integer code per row; feature extraction builds one
 table per template and document, and every sentence cut from the
 document shares it.  The :class:`FeatureRegistry` keeps one
 value-to-slot dictionary per template (CRFsuite's attribute
-dictionaries); it is built once from the training instances, looking
-up each distinct value of a table once, and only read after that.
+dictionaries), each template owning one contiguous range of slots; it
+is built once from the training instances, looking up each distinct
+value of a table once, and only read after that.
 Compiling a batch maps each table through its template's dictionary
 once and indexes the result with the codes, giving a templates-by-rows
 matrix of integer slot ids in which the sentinel id ``n_slots`` stands
@@ -63,12 +64,14 @@ imports the bare ``scipy`` package, which loads submodules on first use,
 so decoding loads neither.
 
 A model file holds data only.  One JSON header line holds the format,
-version and labels and, for the model and then the source model a
-``transit`` model reads, each template's values in the registry's
-dictionary order, the training config and the manifest.  After it come
-each model's slot ids, in the order of those values, as little-endian
-int32, then its weights as little-endian float64.  Loading checks every
-part, so a damaged or hostile file is refused and nothing in it runs.
+version (3) and labels and, for the model and then the source model a
+``transit`` model reads, each template's values in slot order, the
+training config and the manifest.  After it come each model's weights as
+little-endian float64.  No slot ids are stored: templates own contiguous
+slot ranges in header order, so the slot of a template's ``k``-th value
+is ``k`` plus the number of values listed before the template.  Loading
+checks every part, so a damaged or hostile file is refused and nothing
+in it runs.
 
 Viterbi breaks ties between labelings whose scores are equal in floating
 point toward the lexicographically smallest sequence under the label
@@ -98,7 +101,7 @@ _LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 _LABEL_NAMES = np.array(LABELS, dtype=object)
 
 _FORMAT = "patseg-crf"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 class TrainingError(RuntimeError):
@@ -202,16 +205,25 @@ class TrainingInstance:
 class FeatureRegistry:
     """Dense ids for emission and transition weights, read-only once built.
 
-    One dictionary per template maps a value to its slot; the slots of all
+    Each template owns one contiguous range of slots, the ranges following
+    one another in the order the templates are given: the slot of value
+    ``k`` of template ``j`` is ``offset_j + k``, and the slots of all
     templates together are ``0 .. n_slots - 1``.  Each slot owns a block of
     four consecutive emission weights, one per label; the 16 transition
     weights sit after all emission blocks.  The id ``n_slots`` stands for
     any unregistered value.
     """
 
-    def __init__(self, slots: dict[str, dict[str, int]]) -> None:
-        self._slots = slots
-        self.n_slots = sum(len(values) for values in slots.values())
+    def __init__(self, values: dict[str, list[str]]) -> None:
+        self._slots: dict[str, dict[str, int]] = {}
+        offset = 0
+        for template_id, listed in values.items():
+            slots = dict(zip(listed, range(offset, offset + len(listed))))
+            if len(slots) != len(listed):
+                raise ValueError(f"values of template {template_id!r} are not distinct")
+            self._slots[template_id] = slots
+            offset += len(listed)
+        self.n_slots = offset
 
     @property
     def n_weights(self) -> int:
@@ -219,9 +231,7 @@ class FeatureRegistry:
 
     def slot_items(self) -> list[tuple[tuple[str, str], int]]:
         """Every registered pair with its slot, in slot order."""
-        items = [((t, v), s) for t, values in self._slots.items() for v, s in values.items()]
-        items.sort(key=lambda item: item[1])
-        return items
+        return [((t, v), s) for t, values in self._slots.items() for v, s in values.items()]
 
     def compile(self, runs: Sequence[FeatureColumns]) -> np.ndarray:
         """Slot ids of the runs' rows, one row of the result per template.
@@ -331,9 +341,7 @@ class CrfModel:
             ],
         }
         parts = [json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"]
-        for m in models:
-            ids = [s for values in m.registry._slots.values() for s in values.values()]
-            parts += [np.array(ids, dtype="<i4").tobytes(), m.weights.astype("<f8").tobytes()]
+        parts += [m.weights.astype("<f8").tobytes() for m in models]
         atomic_write(path, b"".join(parts))
 
     @classmethod
@@ -370,20 +378,11 @@ def _decode_models(data: bytes) -> CrfModel:
         _check(isinstance(templates, dict) and isinstance(manifest, dict), "templates and manifest must be objects")
         for template_id, values in templates.items():
             strings = isinstance(values, list) and all(isinstance(v, str) for v in values)
-            _check(strings and len(set(values)) == len(values), f"values of template {template_id!r} are not distinct strings")
+            _check(strings, f"values of template {template_id!r} are not strings")
         numeric = isinstance(config, dict) and all(type(x) in (int, float) for x in config.values())
         _check(numeric and set(config) == {f.name for f in fields(TrainConfig)}, "config must have the numeric fields of TrainConfig")
-        n_slots = sum(len(values) for values in templates.values())
+        registry = FeatureRegistry({t: [shared.setdefault(v, v) for v in values] for t, values in templates.items()})
         # np.frombuffer refuses a file too short for the sizes the header gives
-        ids = np.frombuffer(data, dtype="<i4", count=n_slots, offset=offset)
-        _check(np.array_equal(np.sort(ids), np.arange(n_slots)), "slot ids are not a permutation")
-        slots, lo = {}, 0
-        for template_id, values in templates.items():
-            values = [shared.setdefault(v, v) for v in values]
-            slots[template_id] = dict(zip(values, ids[lo : lo + len(values)].tolist()))
-            lo += len(values)
-        registry = FeatureRegistry(slots)
-        offset += 4 * n_slots
         weights = np.frombuffer(data, dtype="<f8", count=registry.n_weights, offset=offset).astype(np.float64)
         offset += 8 * registry.n_weights
         models.append(CrfModel(registry, weights, TrainConfig(**config), manifest))
@@ -770,78 +769,53 @@ def log_likelihood_and_gradient(
 
 def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 1) -> FeatureRegistry:
     """Register every (template-id, value) pair seen at least
-    ``feature_cutoff`` times, in first-seen order: rows in instance
-    order, the entries of a row in template order.
+    ``feature_cutoff`` times, template-major in first-seen order.
 
-    Works on distinct codes: each block's column gives every code its
-    first and last row and its count in a few array reductions, and only
-    the distinct values are looked up.  A value's first-seen key is ``row *
-    width + entry``.  Each template's dictionary lists its values (the
-    order a model file stores them in) by the last run of consecutive
-    instances with equal templates that holds them, then the last column
-    of the template holding them there, then their last row in it, all
-    latest first.
+    Templates take their slot ranges in the order they first occur among
+    the instances' columns.  Each template lists its values in the order
+    they first occur: rows in instance order, then a row's columns left
+    to right.  Works on distinct codes: each block's column gives every
+    code its first row and its count in a few array reductions, and only
+    the distinct values are looked up.
     """
     blocks = _merge_runs([inst.features for inst in instances])
     width = max((len(b.templates) for b in blocks), default=0)
-    n_rows = sum(len(b) for b in blocks)
-    # per template: value -> an id unique to it (with gaps), and the
-    # (ids, first-seen keys, order keys, counts) of every column
-    value_ids: dict[str, dict[str | None, int]] = {}
+    # per template: value -> index in the order met, and the (indices,
+    # first-seen keys row * width + column, counts) of every column
+    index: dict[str, dict[str | None, int]] = {}
     seen: dict[str, list[tuple[np.ndarray, ...]]] = {}
-    fresh = itertools.count()
-    start, group, templates = 0, -1, None
+    start = 0
     for block in blocks:
-        if block.templates != templates:
-            group, templates = group + 1, block.templates
         for j, (template_id, table, codes) in enumerate(zip(block.templates, block.tables, block.codes)):
-            present, first_row, last_row, count = _occurrences(codes, len(table))
-            values = map(table.__getitem__, present.tolist())
-            assign = value_ids.setdefault(template_id, {}).setdefault
-            ids = np.fromiter(map(assign, values, fresh), dtype=np.int64, count=len(present))
-            order_key = (group * width + j) * n_rows + start + last_row
-            seen.setdefault(template_id, []).append((ids, (start + first_row) * width + j, order_key, count))
+            present, first_row, count = _occurrences(codes, len(table))
+            met = index.setdefault(template_id, {})
+            where = np.array([met.setdefault(v, len(met)) for v in map(table.__getitem__, present.tolist())], dtype=np.intp)
+            seen.setdefault(template_id, []).append((where, (start + first_row) * width + j, count))
         start += len(block)
 
-    kept: dict[str, tuple[list[str], np.ndarray]] = {}
+    values = {}
     for template_id, parts in seen.items():
-        ids, first_key, order_key, count = (np.concatenate(column) for column in zip(*parts))
-        values = list(value_ids[template_id])
-        # ids were handed out in increasing order, so a value's rank among them is its index
-        where = np.searchsorted(np.fromiter(value_ids[template_id].values(), dtype=np.int64, count=len(values)), ids)
-        first = np.full(len(values), np.iinfo(np.int64).max)
+        where, first_key, count = (np.concatenate(column) for column in zip(*parts))
+        met = index[template_id]
+        first = np.full(len(met), np.iinfo(np.int64).max)
         np.minimum.at(first, where, first_key)
-        latest = np.full(len(values), -1, dtype=np.int64)
-        np.maximum.at(latest, where, order_key)
-        enough = np.bincount(where, weights=count, minlength=len(values)) >= feature_cutoff
-        if None in value_ids[template_id]:
-            enough[values.index(None)] = False
+        enough = np.bincount(where, weights=count, minlength=len(met)) >= feature_cutoff
+        if None in met:
+            enough[met[None]] = False
         listed = np.flatnonzero(enough)
-        listed = listed[np.argsort(-latest[listed])]
-        kept[template_id] = (list(map(values.__getitem__, listed.tolist())), first[listed])
-
-    flat = np.concatenate([keys for _, keys in kept.values()]) if kept else np.empty(0, dtype=np.int64)
-    slots = np.empty(len(flat), dtype=np.intp)
-    slots[np.argsort(flat, kind="stable")] = np.arange(len(flat))
-    per_template = {}
-    lo = 0
-    for template_id, (values, _) in kept.items():
-        per_template[template_id] = dict(zip(values, slots[lo : lo + len(values)].tolist()))
-        lo += len(values)
-    return FeatureRegistry(per_template)
+        met_values = list(met)
+        values[template_id] = [met_values[i] for i in listed[np.argsort(first[listed])].tolist()]
+    return FeatureRegistry(values)
 
 
-def _occurrences(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every code of a column that occurs, with its first row, last row
-    and count; the codes are below ``n_codes``."""
-    rows = np.arange(len(codes))
+def _occurrences(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every code of a column that occurs, with its first row and count;
+    the codes are below ``n_codes``."""
     first = np.full(n_codes, len(codes))
-    np.minimum.at(first, codes, rows)
-    last = np.full(n_codes, -1)
-    np.maximum.at(last, codes, rows)
+    np.minimum.at(first, codes, np.arange(len(codes)))
     count = np.bincount(codes, minlength=n_codes)
     present = np.flatnonzero(count)
-    return present, first[present], last[present], count[present]
+    return present, first[present], count[present]
 
 
 def train(

@@ -20,6 +20,7 @@ their bins.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from operator import add
@@ -78,39 +79,42 @@ def instance(rows: Sequence[Row], gold: Sequence[str], source_id: str = "") -> T
     return TrainingInstance(columns_from_rows(rows), tuple(gold), source_id)
 
 
-def value_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 1) -> dict[str, dict[str, int]]:
-    """The registry's dictionaries built over value lists, one dictionary
-    per column of the instances joined while their templates stay equal,
-    each entry keyed ``row * width + entry``: the oracle for the slots and
-    for the order in which a model file lists each template's values."""
-    blocks: list[tuple[tuple[str, ...], list[list[str | None]]]] = []
+def value_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 1) -> dict[str, list[str]]:
+    """The registry's values built over value lists: templates in the
+    order they first occur among the instances' columns, each with its
+    values in first-seen order (rows in instance order, then a row's
+    columns left to right), None and values seen fewer than
+    ``feature_cutoff`` times left out.  The oracle for the slots and for
+    the order in which a model file lists each template's values."""
+    first: dict[str, dict[str | None, None]] = {}
+    counts: Counter = Counter()
     for inst in instances:
-        columns = inst.features.values()
-        if blocks and blocks[-1][0] == inst.features.templates:
-            for joined, column in zip(blocks[-1][1], columns):
-                joined.extend(column)
-        else:
-            blocks.append((inst.features.templates, columns))
-    width = max((len(templates) for templates, _ in blocks), default=0)
-    first: dict[str, dict[str, int]] = {}
-    counts: dict[str, Counter] = {}
-    start = 0
-    for templates, columns in blocks:
-        n = len(columns[0]) if columns else 0
-        for j, (template_id, column) in enumerate(zip(templates, columns)):
-            keys = range(start * width + j, (start + n) * width, width)
-            seen = dict(zip(reversed(column), reversed(keys)))  # every value keeps its first key
-            seen.pop(None, None)
-            for value, key in first.get(template_id, {}).items():
-                if seen.get(value, key) >= key:
-                    seen[value] = key
-            first[template_id] = seen
-            counts.setdefault(template_id, Counter()).update(column)
-        start += n
-    first = {t: {v: key for v, key in seen.items() if counts[t][v] >= feature_cutoff} for t, seen in first.items()}
-    order = sorted((key, t, v) for t, seen in first.items() for v, key in seen.items())
-    slot = {(t, v): s for s, (_, t, v) in enumerate(order)}
-    return {t: {v: slot[t, v] for v in seen} for t, seen in first.items()}
+        templates = inst.features.templates
+        for template_id in templates:
+            first.setdefault(template_id, {})
+        for row in zip(*inst.features.values()):
+            for template_id, value in zip(templates, row):
+                first[template_id].setdefault(value)
+                counts[template_id, value] += 1
+    return {
+        t: [v for v in seen if v is not None and counts[t, v] >= feature_cutoff] for t, seen in first.items()
+    }
+
+
+def as_version_2(data: bytes) -> bytes:
+    """A model file rewritten in the layout of format version 2: the same
+    header marked version 2, and before each model's weights its slot ids
+    as little-endian int32, one per value in header order."""
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    header["version"] = 2
+    parts, offset = [json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n"], end + 1
+    for entry in header["models"]:
+        n_slots = sum(len(values) for values in entry["templates"].values())
+        n_bytes = 8 * (n_slots * len(LABELS) + len(LABELS) ** 2)
+        parts += [np.arange(n_slots, dtype="<i4").tobytes(), data[offset : offset + n_bytes]]
+        offset += n_bytes
+    return b"".join(parts)
 
 
 def emission_index(registry: FeatureRegistry, template_id: str, value: str, label: str) -> int:

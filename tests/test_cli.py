@@ -13,12 +13,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patseg import adaptation, crf
+from patseg import adaptation, corpus, crf
 from patseg.cli import main
 from patseg.corpus import read_corpus
 from patseg.crf import CrfModel, TrainConfig
 from patseg.external_features import KnowledgeBase, read_tagged_corpus
 from patseg.pipeline import FeatureExtractor
+
+from _reference import as_version_2
 
 
 def run(*args):
@@ -181,6 +183,23 @@ class TestSegment:
         pred = read_corpus(workspace / "pred", "segmented")
         assert [d.words for d in pred] == [d.words for d in gold]
 
+    def test_failed_write_leaves_no_partial_segmentation(self, workspace, monkeypatch):
+        run("train", "--config", cfg_path(workspace))
+        args = ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw")]
+        assert run(*args, "--output", str(workspace / "pred")).exit_code == 0
+        before = (workspace / "pred" / "r1.seg").read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(corpus.os, "replace", fail)
+        for out in ("pred", "fresh"):
+            result = CliRunner().invoke(main, [*args, "--output", str(workspace / out)])
+            assert result.exit_code == 1 and result.stderr.startswith("error:io: ")
+        assert [p.name for p in (workspace / "pred").iterdir()] == ["r1.seg"]
+        assert (workspace / "pred" / "r1.seg").read_bytes() == before
+        assert list((workspace / "fresh").iterdir()) == []
+
     def test_blank_lines_preserved_and_coverage(self, workspace):
         run("train", "--config", cfg_path(workspace))
         result = run(
@@ -299,18 +318,22 @@ class TestSegment:
         assert "r1.md" in result.stderr and "r1.txt" in result.stderr
         assert not (workspace / "pred" / "r1.seg").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "list"])
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "list", "version 2"])
     def test_bad_model_file_is_an_invalid_error(self, workspace, damage):
+        """A damaged file, or a well-formed one of the previous format, is
+        refused with a message to retrain."""
         run("train", "--config", cfg_path(workspace))
         model = workspace / "out" / "model.crf"
         data = model.read_bytes()
-        model.write_bytes({"truncated": data[: len(data) // 2], "empty": b"", "list": pickle.dumps([1, 2])}[damage])
+        damaged = {"truncated": data[: len(data) // 2], "empty": b"", "list": pickle.dumps([1, 2])}
+        model.write_bytes(damaged[damage] if damage in damaged else as_version_2(data))
         result = CliRunner().invoke(
             main, ["segment", "--model", str(model), "--input", str(workspace / "raw"),
                    "--output", str(workspace / "pred")],
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ") and str(model) in result.stderr
+        assert "retrain" in result.stderr
 
     def test_pickled_model_is_refused_without_running_it(self, workspace, pickled_model):
         model, marker = pickled_model

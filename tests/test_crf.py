@@ -30,6 +30,7 @@ from patseg.crf import (
 )
 
 from _reference import (
+    as_version_2,
     coded,
     columns_from_rows,
     emission_index,
@@ -122,14 +123,14 @@ class TestScoreSequence:
         assert all(s == 0.0 for _, s in scored)
 
     def test_single_position_single_feature(self):
-        reg = FeatureRegistry({"t": {"v": 0}})
+        reg = FeatureRegistry({"t": ["v"]})
         weights = np.zeros(reg.n_weights)
         weights[emission_index(reg, "t", "v", "S")] = 2.0
         model = CrfModel(reg, weights)
         assert dict(enumerate_scores(model, [[("t", "v")]]))[("S",)] == 2.0
 
     def test_length_two_hand_sum(self):
-        reg = FeatureRegistry({"t": {"a": 0, "b": 1}})
+        reg = FeatureRegistry({"t": ["a", "b"]})
         weights = np.zeros(reg.n_weights)
         weights[emission_index(reg, "t", "a", "B")] = 1.5
         weights[emission_index(reg, "t", "b", "E")] = -0.25
@@ -139,7 +140,7 @@ class TestScoreSequence:
         assert got == pytest.approx(1.5 - 0.25 + 3.0)
 
     def test_unregistered_features_contribute_zero(self):
-        reg = FeatureRegistry({"t": {"a": 0}})
+        reg = FeatureRegistry({"t": ["a"]})
         model = CrfModel(reg, np.ones(reg.n_weights))
         known, with_unknown = [[("t", "a")]], [[("t", "a"), ("t", "zzz")]]
         assert enumerate_scores(model, known) == enumerate_scores(model, with_unknown)
@@ -158,7 +159,7 @@ class TestViterbi:
         assert model.viterbi(inst.features) == ["B"] * 5
 
     def test_weights_written_in_place_are_decoded(self):
-        reg = FeatureRegistry({"t": {"v": 0}})
+        reg = FeatureRegistry({"t": ["v"]})
         model = CrfModel(reg, np.zeros(reg.n_weights))
         feats = columns_from_rows([[("t", "v")]])
         assert model.viterbi(feats) == ["B"]
@@ -166,7 +167,7 @@ class TestViterbi:
         assert model.viterbi(feats) == ["S"]
 
     def test_transition_dominance(self):
-        reg = FeatureRegistry({"t": {"v": 0}})
+        reg = FeatureRegistry({"t": ["v"]})
         weights = np.zeros(reg.n_weights)
         weights[transition_index(reg, "S", "S")] = 10.0
         model = CrfModel(reg, weights)
@@ -229,7 +230,7 @@ class TestViterbi:
                 [pool[int(j)] for j in rng.integers(0, len(pool), int(rng.integers(0, 4)))]
                 for _ in range(length)
             ]
-            reg = FeatureRegistry({"t0": {"a": 0, "b": 1}, "t1": {"a": 2}, "t2": {"c": 3}})
+            reg = FeatureRegistry({"t0": ["a", "b"], "t1": ["a"], "t2": ["c"]})
             model = CrfModel(reg, rng.normal(0.0, 1.0, reg.n_weights))
             assert tuple(model.viterbi(columns_from_rows(feats))) == enumeration_argmax(model, feats)
             assert model.viterbi(run_of([feats, feats[:1]])) == [
@@ -286,8 +287,10 @@ class TestColumns:
         assert (both == registry.n_slots).any() and (both < registry.n_slots).any()
 
     def test_registry_from_columns_numbers_slots_as_from_rows(self):
-        """First-seen order over columns equals the order of registering
-        the rendered rows entry by entry, for every cutoff."""
+        """Template-major first-seen order over columns equals that of
+        registering the rendered rows entry by entry, each template's
+        values after those of the templates met before it, for every
+        cutoff."""
         rng = np.random.default_rng(18)
         sentences = [list(random_instance(rng, int(n), n_templates=4, n_values=5).features) for n in (3, 6, 1, 4)]
         # rows of any arity, one template repeated within a row
@@ -295,19 +298,22 @@ class TestColumns:
         instances = [instance(rows, ("S",) * len(rows)) for rows in sentences]
         counts = Counter(key for rows in sentences for fv in rows for key in fv)
         for cutoff in (1, 2, 3):
-            expected: dict[tuple[str, str], int] = {}
+            by_template: dict[str, list[str]] = {}
             for rows in sentences:
                 for fv in rows:
-                    for key in fv:
-                        if counts[key] >= cutoff:
-                            expected.setdefault(key, len(expected))
-            assert build_registry(instances, cutoff).slot_items() == list(expected.items())
+                    for template_id, value in fv:
+                        listed = by_template.setdefault(template_id, [])
+                        if counts[template_id, value] >= cutoff and value not in listed:
+                            listed.append(value)
+            expected = [(t, v) for t, listed in by_template.items() for v in listed]
+            assert build_registry(instances, cutoff).slot_items() == list(zip(expected, itertools.count()))
+            assert value_registry(instances, cutoff) == by_template
 
     def test_registry_dictionaries_equal_the_value_list_oracle(self):
-        """Slots and each template's value order (the order a model file
-        stores) equal those built over value lists, for runs cut from
-        documents with their own tables, template sets that change, a
-        template repeated within a row, and every cutoff."""
+        """Each template's slot range and the order of its values (the
+        order a model file stores) equal those built over value lists, for
+        runs cut from documents with their own tables, template sets that
+        change, a template repeated within a row, and every cutoff."""
         rng = np.random.default_rng(25)
         for _ in range(20):
             instances = []
@@ -317,8 +323,14 @@ class TestColumns:
                 instances += [TrainingInstance(s, inst.gold) for s, inst in zip(run_of([list(i.features) for i in document]).sentences(), document)]
             instances.append(instance([[("t0", "v1"), ("t0", "v9")], [("t0", "v9"), ("t1", "v1"), ("t0", "v2")]], "SS"))
             for cutoff in (1, 2, 3):
-                got, expected = build_registry(instances, cutoff)._slots, value_registry(instances, cutoff)
-                assert [(t, list(v.items())) for t, v in got.items()] == [(t, list(v.items())) for t, v in expected.items()]
+                got, expected = build_registry(instances, cutoff), value_registry(instances, cutoff)
+                assert [(t, list(v)) for t, v in got._slots.items()] == list(expected.items())
+                assert got.slot_items() == FeatureRegistry(expected).slot_items()
+
+    def test_registry_refuses_a_repeated_value(self):
+        FeatureRegistry({"t": ["a"], "u": ["a", "b"]})
+        with pytest.raises(ValueError, match="'u'"):
+            FeatureRegistry({"t": ["a"], "u": ["a", "b", "a"]})
 
     def test_gather_sum_equals_the_sparse_product_exactly(self):
         """Decoding's gather-sum and training's sparse product give the
@@ -727,8 +739,8 @@ class TestModelFile:
         """A value registered under two templates, and again in the source
         model, is one string object once loaded; the bytes do not change."""
         value = "".join(["共", "享"])  # built at run time, so not interned
-        model = CrfModel(FeatureRegistry({"a": {value: 0}, "b": {"x": 1, "共享": 2}}), np.zeros(28))
-        model.source = CrfModel(FeatureRegistry({"c": {"".join(["共", "享"]): 0}}), np.zeros(20))
+        model = CrfModel(FeatureRegistry({"a": [value], "b": ["x", "共享"]}), np.zeros(28))
+        model.source = CrfModel(FeatureRegistry({"c": ["".join(["共", "享"])]}), np.zeros(20))
         path = tmp_path / "model.crf"
         model.save(path)
         loaded = CrfModel.load(path)
@@ -750,8 +762,8 @@ class TestModelFile:
         "damage, reason",
         [
             ("version", "version"),
-            ("repeated value", "distinct strings"),
-            ("slot ids", "permutation"),
+            ("repeated value", "not distinct"),
+            ("version 2 file", "unsupported version 2"),
             ("config", "numeric fields"),
             ("non-finite weight", "finite"),
             ("missing byte", ""),  # refused by np.frombuffer, in numpy's words
@@ -762,6 +774,8 @@ class TestModelFile:
         path = tmp_path / "model.crf"
         transit_pair().save(path)
         data = path.read_bytes()
+        if damage == "version 2 file":
+            data = as_version_2(data)
         end = data.index(b"\n")
         header = json.loads(data[:end])
         body = bytearray(data[end + 1 :])
@@ -771,20 +785,18 @@ class TestModelFile:
         elif damage == "repeated value":
             values = next(iter(entry["templates"].values()))
             values[1] = values[0]
-        elif damage == "slot ids":
-            body[4:8] = body[0:4]
         elif damage == "config":
             entry["config"]["l2"] = "0.1"
         elif damage == "non-finite weight":
             body[-8:] = np.array([np.nan], dtype="<f8").tobytes()
         elif damage == "missing byte":
             body = body[:-1]
-        else:
+        elif damage == "trailing byte":
             body += b"\0"
         path.write_bytes(json.dumps(header, ensure_ascii=False).encode() + b"\n" + bytes(body))
         with pytest.raises(ValueError) as err:
             CrfModel.load(path)
-        assert str(path) in str(err.value) and reason in str(err.value)
+        assert str(path) in str(err.value) and reason in str(err.value) and "retrain" in str(err.value)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
