@@ -5,8 +5,9 @@ Subcommands: ``extract-knowledge``, ``train``, ``segment``, ``eval``,
 ``--set section.key=value`` overrides; flags win over file values.  On
 failure the process exits nonzero after printing a single
 ``error:<category>: message`` line to stderr.  A training run that stops
-at ``max_iterations`` before converging prints a ``warning:training:``
-line to stderr and still succeeds.
+before converging, at ``max_iterations`` or for any other reason the
+optimizer gives, prints a ``warning:training:`` line to stderr and still
+succeeds.
 
 ``train`` writes one model file, which for ``transit`` also holds the
 source model, and ``segment`` reads only that file.  A model file that is
@@ -164,12 +165,12 @@ def cmd_train(config_path, overrides) -> None:
         model = crf_train(instances, train_config, manifest)
         model.source = source_model
         optimizer = model.manifest["optimizer"]
-        if not optimizer["converged"] and optimizer["nit"] >= train_config.max_iterations:
-            click.echo(
-                f"warning:training: stopped at max_iterations={train_config.max_iterations} "
-                "before convergence",
-                err=True,
-            )
+        if not optimizer["converged"]:
+            if optimizer["nit"] >= train_config.max_iterations:
+                reason = f"stopped at max_iterations={train_config.max_iterations} before convergence"
+            else:
+                reason = f"optimizer stopped before convergence: {optimizer['message']}"
+            click.echo(f"warning:training: {reason}", err=True)
         model.save(cfg.model)
         click.echo(f"model written to {cfg.model}")
     except Exception as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,12 @@ class RunConfig:
             raise ConfigError("sim_k must be >= 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
+        for key in ("l2", "tolerance"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+        if self.feature_cutoff < 1:
+            raise ConfigError("feature_cutoff must be >= 1")
 
 
 _SCHEMA: dict[str, dict[str, str]] = {

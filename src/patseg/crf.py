@@ -22,9 +22,10 @@ for every unregistered value.  No value is looked up per position when
 training or decoding.
 
 Training maximizes the L2-regularized mean log-likelihood with exact
-gradients from forward-backward.  The optimizer is a batch quasi-Newton
-method (L-BFGS-B) with deterministic behavior: identical data and config
-reproduce bit-identical weights.
+gradients from forward-backward.  The optimizer is :mod:`patseg.lbfgs`, a
+numpy L-BFGS that takes L-BFGS-B's path without bounds (Liu and Nocedal
+1989; Sha and Pereira 2003 for CRFs), with deterministic behavior:
+identical data and config reproduce bit-identical weights.
 
 Training and decoding share one core, :class:`PackedBatch`: a batch of
 sequences stored time-major with one row per position, so memory is
@@ -59,9 +60,11 @@ emission weights with a zero row appended for the sentinel, gathered
 template by template.  Training, which scores the same batch once per
 optimizer step, multiplies a sparse rows-by-slots matrix built from the
 same ids instead; both sum the same terms in the same order.  Only
-training uses ``scipy.optimize`` and ``scipy.sparse``.  The module
-imports the bare ``scipy`` package, which loads submodules on first use,
-so decoding loads neither.
+training uses ``scipy.sparse``, for those products, and
+``scipy.optimize``, whose ``minimize`` only hands the run to the numpy
+loop as a custom ``method`` (benchmark tooling wraps that name to read
+the iteration count).  The module imports the bare ``scipy`` package,
+which loads submodules on first use, so decoding loads neither.
 
 A model file holds data only.  One JSON header line holds the format,
 version (3) and labels and, for the model and then the source model a
@@ -94,6 +97,7 @@ from typing import Iterator, Sequence
 import numpy as np
 import scipy
 
+from . import lbfgs
 from .corpus import LABELS, atomic_write
 
 N_LABELS = len(LABELS)
@@ -754,14 +758,20 @@ def log_likelihood_and_gradient(
     if not np.all(np.isfinite(log_z)):
         bad = batch.order[int(np.flatnonzero(~np.isfinite(log_z))[0])]
         raise TrainingError(f"non-finite partition function for instance {instances[bad].source_id!r}")
-    expected = np.concatenate([(batch.features.T @ gamma).ravel(), xi.ravel()])
+    # (empirical - expected) / n - l2 w, built in place in one vector
+    gradient = np.empty(registry.n_weights)
+    n_emission = registry.n_slots * N_LABELS
+    np.subtract(batch.empirical[:n_emission].reshape(-1, N_LABELS), batch.features.T @ gamma,
+                out=gradient[:n_emission].reshape(-1, N_LABELS))
+    np.subtract(batch.empirical[n_emission:], xi.ravel(), out=gradient[n_emission:])
 
     n = batch.n
     gold_score = float(w @ batch.empirical)
     log_likelihood = (gold_score - float(log_z.sum())) / n
     l2 = model.config.l2
     objective = log_likelihood - 0.5 * l2 * float(w @ w)
-    gradient = (batch.empirical - expected) / n - l2 * w
+    gradient /= n
+    gradient -= l2 * w
     if not (np.isfinite(objective) and np.all(np.isfinite(gradient))):
         raise TrainingError("non-finite objective or gradient")
     return objective, gradient
@@ -826,9 +836,13 @@ def train(
     """Fit weights by maximizing the regularized mean log-likelihood.
 
     Deterministic: the registry is built in instance order, the start
-    point is zero, and L-BFGS-B stops on relative objective change below
-    ``config.tolerance`` or after ``config.max_iterations`` iterations.
-    How it stopped is recorded under ``manifest["optimizer"]``.
+    point is zero, and :func:`patseg.lbfgs.minimize` stops on relative
+    objective change below ``config.tolerance`` or after
+    ``config.max_iterations`` iterations, where L-BFGS-B would.  The run
+    goes through ``scipy.optimize.minimize`` with the loop as a custom
+    ``method`` only because benchmark tooling wraps that name to read the
+    iteration count.  How it stopped is recorded under
+    ``manifest["optimizer"]``.
     """
     if not instances:
         raise TrainingError("no training instances")
@@ -839,19 +853,12 @@ def train(
     def negated(w: np.ndarray) -> tuple[float, np.ndarray]:
         model.weights = w
         obj, grad = log_likelihood_and_gradient(model, instances, batch)
-        return -obj, -grad
+        return -obj, np.negative(grad, out=grad)
 
     result = scipy.optimize.minimize(
         negated,
         np.zeros(registry.n_weights),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": config.max_iterations,
-            "ftol": config.tolerance,
-            "gtol": 1e-12,
-            "maxcor": 10,
-        },
+        method=lambda fun, x0, **_: lbfgs.minimize(fun, x0, config.max_iterations, config.tolerance),
     )
     weights = np.asarray(result.x, dtype=np.float64)
     if not np.all(np.isfinite(weights)):

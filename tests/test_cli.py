@@ -104,6 +104,29 @@ class TestTrain:
         assert optimizer["nit"] == 2 and not optimizer["converged"]
         assert optimizer["message"]
 
+    def test_other_stops_before_convergence_are_warned(self, workspace, monkeypatch):
+        objective = crf.log_likelihood_and_gradient
+
+        def gradient_points_downhill(*args):
+            value, gradient = objective(*args)
+            return value, -gradient
+
+        monkeypatch.setattr(crf, "log_likelihood_and_gradient", gradient_points_downhill)
+        result = run("train", "--config", cfg_path(workspace))
+        assert result.exit_code == 0, result.output
+        optimizer = CrfModel.load(workspace / "out" / "model.crf").manifest["optimizer"]
+        assert not optimizer["converged"] and optimizer["message"].startswith("ABNORMAL")
+        warning = f"warning:training: optimizer stopped before convergence: {optimizer['message']}"
+        assert result.stderr.strip() == warning.strip()
+
+    def test_untrainable_settings_are_config_errors(self, workspace):
+        for setting in ("train.l2=-1", "train.l2=nan", "train.tolerance=nan", "train.feature_cutoff=0"):
+            result = CliRunner().invoke(main, ["train", "--config", cfg_path(workspace), "--set", setting])
+            assert result.exit_code == 1, setting
+            key = setting.split(".")[1].split("=")[0]
+            assert result.stderr.startswith(f"error:config: {key} must be"), result.stderr
+        assert not (workspace / "out" / "model.crf").exists()
+
     def test_full_feature_easy_pipeline(self, workspace):
         run("extract-knowledge", "--config", cfg_path(workspace))
         result = run(

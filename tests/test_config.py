@@ -113,3 +113,18 @@ class TestValidation:
             RunConfig(sim_k=0)
         with pytest.raises(ConfigError):
             RunConfig(source_format="xml")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("l2", "-1"), ("l2", "inf"), ("l2", "nan"),
+        ("tolerance", "-1e-6"), ("tolerance", "inf"), ("tolerance", "nan"),
+        ("feature_cutoff", "0"), ("feature_cutoff", "-3"),
+    ])
+    def test_settings_that_cannot_train_name_their_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config(f"[train]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            parse_config("", {f"train.{key}": raw})
+
+    def test_zero_l2_and_tolerance_are_accepted(self):
+        cfg = parse_config("[train]\nl2 = 0\ntolerance = 0\nfeature_cutoff = 1\n")
+        assert (cfg.l2, cfg.tolerance, cfg.feature_cutoff) == (0.0, 0.0, 1)
