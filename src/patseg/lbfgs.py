@@ -121,7 +121,6 @@ def minimize(
             if not pairs:
                 return stop(ABNORMAL)
             pairs.clear()
-            h0 = 1.0
             continue
         # the search ends at the point it evaluated last
         step, gd = accepted[0], accepted[2]
