@@ -13,6 +13,10 @@ columns it renames templates only: every template ``t`` becomes the two
 namespaces ``COM:t`` and ``<domain>:t``, which share the one coded
 column, and the zero block simply has no columns.  ``transit`` adds one
 ``TRANSIT`` column of predicted labels, coded in ``LABELS``.
+
+A training instance is one document, so its document-level features
+and its gold labels stay together; training averages the objective over
+sentences, however they are grouped into documents.
 """
 
 from __future__ import annotations
@@ -86,30 +90,19 @@ def _document_columns(
     return columns
 
 
-def _document_instances(
-    doc: Document,
-    extractor: FeatureExtractor,
-    domain: str | None = None,
-    transit_model: CrfModel | None = None,
-) -> list[TrainingInstance]:
-    if doc.words is None:
-        raise ValueError(f"document {doc.doc_id!r} is not segmented")
-    sentences = _document_columns(doc, extractor, domain, transit_model).sentences()
-    return [
-        TrainingInstance(features, tuple(encode_bmes(words)), f"{doc.doc_id}#{si}")
-        for si, (features, words) in enumerate(zip(sentences, doc.words))
-    ]
-
-
 def corpus_instances(
     docs: Sequence[Document],
     extractor: FeatureExtractor,
     domain: str | None = None,
     transit_model: CrfModel | None = None,
 ) -> list[TrainingInstance]:
-    out: list[TrainingInstance] = []
+    """One training instance per document, in corpus order."""
+    out = []
     for doc in docs:
-        out.extend(_document_instances(doc, extractor, domain, transit_model))
+        if doc.words is None:
+            raise ValueError(f"document {doc.doc_id!r} is not segmented")
+        gold = tuple(label for words in doc.words for label in encode_bmes(words))
+        out.append(TrainingInstance(_document_columns(doc, extractor, domain, transit_model), gold, doc.doc_id))
     return out
 
 
@@ -120,7 +113,7 @@ def build_training(
     extractor: FeatureExtractor,
     train_config: TrainConfig = TrainConfig(),
 ) -> tuple[list[TrainingInstance], CrfModel | None]:
-    """Assemble training instances for one adaptation mode.
+    """Assemble training instances, one per document, for one adaptation mode.
 
     Returns the instances and, for ``transit``, the auxiliary model
     trained on the source corpus (None otherwise).  Document-level

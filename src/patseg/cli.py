@@ -4,10 +4,10 @@ Subcommands: ``extract-knowledge``, ``train``, ``segment``, ``eval``,
 ``curve``.  Every command takes ``--config PATH`` plus repeatable
 ``--set section.key=value`` overrides; flags win over file values.  On
 failure the process exits nonzero after printing a single
-``error:<category>: message`` line to stderr.  A training run that stops
-before converging, at ``max_iterations`` or for any other reason the
-optimizer gives, prints a ``warning:training:`` line to stderr and still
-succeeds.
+``error:<category>: message`` line to stderr.  A training run whose model,
+or whose ``transit`` source model, stops before converging, at
+``max_iterations`` or for any other reason the optimizer gives, prints a
+``warning:training:`` line per model to stderr and still succeeds.
 
 ``train`` writes one model file, which for ``transit`` also holds the
 source model, and ``segment`` reads only that file.  A model file that is
@@ -39,7 +39,6 @@ _ERROR_CATEGORIES = (
     (ParseError, "parse"),
     (MismatchError, "mismatch"),
     (TrainingError, "training"),
-    (FileNotFoundError, "io"),
     (OSError, "io"),
     (ValueError, "invalid"),
 )
@@ -164,13 +163,15 @@ def cmd_train(config_path, overrides) -> None:
         }
         model = crf_train(instances, train_config, manifest)
         model.source = source_model
-        optimizer = model.manifest["optimizer"]
-        if not optimizer["converged"]:
+        for prefix, trained in (("", model), ("source model ", source_model)):
+            if trained is None or trained.manifest["optimizer"]["converged"]:
+                continue
+            optimizer = trained.manifest["optimizer"]
             if optimizer["nit"] >= train_config.max_iterations:
                 reason = f"stopped at max_iterations={train_config.max_iterations} before convergence"
             else:
                 reason = f"optimizer stopped before convergence: {optimizer['message']}"
-            click.echo(f"warning:training: {reason}", err=True)
+            click.echo(f"warning:training: {prefix}{reason}", err=True)
         model.save(cfg.model)
         click.echo(f"model written to {cfg.model}")
     except Exception as exc:

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -348,15 +348,3 @@ def read_corpus(path: str | Path, mode: str = "segmented") -> list[Document]:
             docs.append(doc)
     return docs
 
-
-def write_segmented_corpus(docs: Iterable[Document], out_dir: str | Path) -> None:
-    """Write segmented documents, one file per document."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for doc in docs:
-        if doc.words is None:
-            raise ValueError(f"document {doc.doc_id!r} is not segmented")
-        with open(out / f"{doc.doc_id}.seg", "w", encoding="utf-8") as fh:
-            for ws in doc.words:
-                fh.write(" ".join(ws))
-                fh.write("\n")

@@ -9,23 +9,25 @@ Features reach the CRF in one form, :class:`FeatureColumns`: for a run of
 sentences, one coded column per template, row ``r`` of every column
 being one character position.  A coded column is a table of distinct
 values plus one integer code per row; feature extraction builds one
-table per template and document, and every sentence cut from the
-document shares it.  The :class:`FeatureRegistry` keeps one
-value-to-slot dictionary per template (CRFsuite's attribute
-dictionaries), each template owning one contiguous range of slots; it
-is built once from the training instances, looking up each distinct
-value of a table once, and only read after that.
+table per template and document.  A :class:`TrainingInstance` is one
+document: its columns and the gold label of every row.  The
+:class:`FeatureRegistry` keeps one value-to-slot dictionary per template
+(CRFsuite's attribute dictionaries), each template owning one contiguous
+range of slots; it is built once from the training instances, looking
+up each distinct value of a table once, and only read after that.
 Compiling a batch maps each table through its template's dictionary
 once and indexes the result with the codes, giving a templates-by-rows
 matrix of integer slot ids in which the sentinel id ``n_slots`` stands
 for every unregistered value.  No value is looked up per position when
 training or decoding.
 
-Training maximizes the L2-regularized mean log-likelihood with exact
-gradients from forward-backward.  The optimizer is :mod:`patseg.lbfgs`, a
-numpy L-BFGS that takes L-BFGS-B's path without bounds (Liu and Nocedal
-1989; Sha and Pereira 2003 for CRFs), with deterministic behavior:
-identical data and config reproduce bit-identical weights.
+Training maximizes the L2-regularized log-likelihood, averaged over the
+sentences of all instances (each sentence is labeled independently),
+with exact gradients from forward-backward.  The optimizer is
+:mod:`patseg.lbfgs`, a numpy L-BFGS that takes L-BFGS-B's path without
+bounds (Liu and Nocedal 1989; Sha and Pereira 2003 for CRFs), with
+deterministic behavior: identical data and config reproduce
+bit-identical weights.
 
 Training and decoding share one core, :class:`PackedBatch`: a batch of
 sequences stored time-major with one row per position, so memory is
@@ -172,38 +174,22 @@ class FeatureColumns:
         return out
 
 
-def _merge_runs(runs: Sequence[FeatureColumns]) -> list[FeatureColumns]:
-    """Consecutive runs with the same templates and the same tables object,
-    such as the sentences cut from one document, joined into one block by
-    concatenating their codes."""
-    blocks = []
-    for _, group in itertools.groupby(runs, key=lambda run: (run.templates, id(run.tables))):
-        group = list(group)
-        if len(group) == 1:
-            blocks.append(group[0])
-            continue
-        first = group[0]
-        codes = np.concatenate([run.codes for run in group], axis=1)
-        lengths = tuple(n for run in group for n in run.lengths)
-        blocks.append(FeatureColumns(first.templates, first.tables, codes, lengths))
-    return blocks
-
-
 @dataclass(frozen=True)
 class TrainingInstance:
-    """The columns of one sentence plus its gold BMES labels."""
+    """One document: the columns of its run of sentences plus the gold
+    BMES label of every row."""
 
     features: FeatureColumns
     gold: tuple[str, ...]
     source_id: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.features, FeatureColumns) or len(self.features.lengths) != 1:
-            raise ValueError(f"instance {self.source_id!r}: features must be the columns of one sentence")
+        if not isinstance(self.features, FeatureColumns):
+            raise ValueError(f"instance {self.source_id!r}: features must be FeatureColumns")
+        if not self.features.lengths or 0 in self.features.lengths:
+            raise ValueError(f"instance {self.source_id!r}: no sentences, or an empty sentence")
         if len(self.features) != len(self.gold):
             raise ValueError(f"instance {self.source_id!r}: features/gold length mismatch")
-        if not self.gold:
-            raise ValueError(f"instance {self.source_id!r}: empty sequence")
 
 
 class FeatureRegistry:
@@ -240,25 +226,24 @@ class FeatureRegistry:
     def compile(self, runs: Sequence[FeatureColumns]) -> np.ndarray:
         """Slot ids of the runs' rows, one row of the result per template.
 
-        Runs sharing tables are compiled as one block.  Each table is
-        mapped through its template's dictionary once, and the block's
-        codes then index the resulting slot ids; a block with fewer
-        templates than the widest leaves the sentinel in the rest.
+        Each table of a run is mapped through its template's dictionary
+        once, and the run's codes then index the resulting slot ids; a run
+        with fewer templates than the widest leaves the sentinel in the
+        rest.
         """
-        blocks = _merge_runs(runs)
-        width = max((len(b.templates) for b in blocks), default=0)
-        ids = np.full((width, sum(len(b) for b in blocks)), self.n_slots, dtype=np.intp)
+        width = max((len(run.templates) for run in runs), default=0)
+        ids = np.full((width, sum(len(run) for run in runs)), self.n_slots, dtype=np.intp)
         start = 0
-        for block in blocks:
-            n, sizes = len(block), [len(table) for table in block.tables]
+        for run in runs:
+            n, sizes = len(run), [len(table) for table in run.tables]
             # every table's slot ids, one after another
             found = itertools.chain.from_iterable(
                 map(self._slots.get(template_id, {}).get, table, itertools.repeat(self.n_slots))
-                for template_id, table in zip(block.templates, block.tables)
+                for template_id, table in zip(run.templates, run.tables)
             )
             slot_of = np.fromiter(found, dtype=np.intp, count=sum(sizes))
             offsets = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
-            ids[: len(sizes), start : start + n] = slot_of[block.codes + offsets[:, None]]
+            ids[: len(sizes), start : start + n] = slot_of[run.codes + offsets[:, None]]
             start += n
         return ids
 
@@ -738,16 +723,19 @@ def _apply_map(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _training_batch(registry: FeatureRegistry, instances: Sequence[TrainingInstance]) -> PackedBatch:
+    """Every sentence of every instance as one sequence of the batch."""
     gold = np.fromiter((_LABEL_INDEX[lab] for inst in instances for lab in inst.gold), dtype=np.intp)
-    return PackedBatch(registry.compile([inst.features for inst in instances]), [len(inst.gold) for inst in instances], registry.n_slots, gold)
+    lengths = [n for inst in instances for n in inst.features.lengths]
+    return PackedBatch(registry.compile([inst.features for inst in instances]), lengths, registry.n_slots, gold)
 
 
 def log_likelihood_and_gradient(
     model: CrfModel, instances: Sequence[TrainingInstance], batch: PackedBatch | None = None
 ) -> tuple[float, np.ndarray]:
-    """L2-regularized mean log-likelihood of the gold labelings, with its
-    exact gradient (expected minus empirical counts, plus the regularizer,
-    all negated into maximization form)."""
+    """L2-regularized log-likelihood of the gold labelings, averaged over
+    the sentences of all instances, with its exact gradient (expected
+    minus empirical counts, plus the regularizer, all negated into
+    maximization form)."""
     registry = model.registry
     if batch is None:
         batch = _training_batch(registry, instances)
@@ -756,8 +744,13 @@ def log_likelihood_and_gradient(
         batch.features @ model._emission_weights(), model._transition_weights()
     )
     if not np.all(np.isfinite(log_z)):
-        bad = batch.order[int(np.flatnonzero(~np.isfinite(log_z))[0])]
-        raise TrainingError(f"non-finite partition function for instance {instances[bad].source_id!r}")
+        bad = int(batch.order[np.flatnonzero(~np.isfinite(log_z))[0]])
+        counts = [len(inst.features.lengths) for inst in instances]
+        i = int(np.searchsorted(np.cumsum(counts), bad, side="right"))
+        sentence = bad - sum(counts[:i])
+        raise TrainingError(
+            f"non-finite partition function for instance {instances[i].source_id!r}, sentence {sentence}"
+        )
     # (empirical - expected) / n - l2 w, built in place in one vector
     gradient = np.empty(registry.n_weights)
     n_emission = registry.n_slots * N_LABELS
@@ -784,24 +777,24 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     Templates take their slot ranges in the order they first occur among
     the instances' columns.  Each template lists its values in the order
     they first occur: rows in instance order, then a row's columns left
-    to right.  Works on distinct codes: each block's column gives every
+    to right.  Works on distinct codes: each instance's column gives every
     code its first row and its count in a few array reductions, and only
     the distinct values are looked up.
     """
-    blocks = _merge_runs([inst.features for inst in instances])
-    width = max((len(b.templates) for b in blocks), default=0)
+    runs = [inst.features for inst in instances]
+    width = max((len(run.templates) for run in runs), default=0)
     # per template: value -> index in the order met, and the (indices,
     # first-seen keys row * width + column, counts) of every column
     index: dict[str, dict[str | None, int]] = {}
     seen: dict[str, list[tuple[np.ndarray, ...]]] = {}
     start = 0
-    for block in blocks:
-        for j, (template_id, table, codes) in enumerate(zip(block.templates, block.tables, block.codes)):
+    for run in runs:
+        for j, (template_id, table, codes) in enumerate(zip(run.templates, run.tables, run.codes)):
             present, first_row, count = _occurrences(codes, len(table))
             met = index.setdefault(template_id, {})
             where = np.array([met.setdefault(v, len(met)) for v in map(table.__getitem__, present.tolist())], dtype=np.intp)
             seen.setdefault(template_id, []).append((where, (start + first_row) * width + j, count))
-        start += len(block)
+        start += len(run)
 
     values = {}
     for template_id, parts in seen.items():
@@ -833,7 +826,8 @@ def train(
     config: TrainConfig = TrainConfig(),
     manifest: dict | None = None,
 ) -> CrfModel:
-    """Fit weights by maximizing the regularized mean log-likelihood.
+    """Fit weights by maximizing the regularized log-likelihood, averaged
+    over the sentences of the instances.
 
     Deterministic: the registry is built in instance order, the start
     point is zero, and :func:`patseg.lbfgs.minimize` stops on relative

@@ -370,17 +370,22 @@ class KnowledgeBase:
             raise ParseError(f"{sim_path}:1: header is not 'rows dimension'")
         n, k = int(header[0]), int(header[1])
         vocab: list[str] = []
-        vectors = np.zeros((n, k), dtype=np.float64)
+        rows: list[list[float]] = []
+        # the array is sized by the rows read, never by the header alone
         for where, char, cells in _keyed_lines(sim_path, sim_lines, skip=1):
             if len(vocab) == n:
                 raise ParseError(f"{where}: more rows than the {n} the header declares")
             try:
-                vectors[len(vocab)] = [float(x) for x in cells.split(" ")]
+                row = [float(x) for x in cells.split(" ")]
             except ValueError as exc:
                 raise ParseError(f"{where}: expected {k} numbers") from exc
+            if len(row) != k:
+                raise ParseError(f"{where}: expected {k} numbers")
+            rows.append(row)
             vocab.append(char)
         if len(vocab) != n:
             raise ParseError(f"{sim_path}: {len(vocab)} rows but the header declares {n}")
+        vectors = np.array(rows, dtype=np.float64).reshape(n, k)
         return cls(lexicon, dictionary, SimilarityModel(vocab, vectors))
 
 

@@ -13,7 +13,7 @@ from patseg.adaptation import (
     slice_target,
 )
 from patseg.corpus import Document, LABELS
-from patseg.crf import TrainConfig, train
+from patseg.crf import TrainConfig, TrainingInstance, train
 from patseg.pipeline import FeatureExtractor
 
 
@@ -104,7 +104,8 @@ class TestBuildTraining:
         extractor = FeatureExtractor(("CF",))
         instances, aux = build_training("target", source, target, extractor)
         assert aux is None
-        assert len(instances) == sum(len(d.sentences) for d in target)
+        assert [i.source_id for i in instances] == [d.doc_id for d in target]
+        assert [i.features.lengths for i in instances] == [tuple(map(len, d.sentences)) for d in target]
         total_positions = sum(len(i.gold) for i in instances)
         assert total_positions == sum(len(s) for d in target for s in d.sentences)
 
@@ -115,9 +116,9 @@ class TestBuildTraining:
         n_sentences = sum(len(d.sentences) for d in source) + sum(
             len(d.sentences) for d in target
         )
-        assert len(instances) == n_sentences
-        # source instances come first
-        assert instances[0].source_id.startswith("s1")
+        assert sum(len(i.features.lengths) for i in instances) == n_sentences
+        # source instances come first, one per document
+        assert [i.source_id for i in instances] == [d.doc_id for d in source + target]
 
     def test_transit_adds_one_label_valued_template(self):
         source, target = toy_corpora()
@@ -136,7 +137,8 @@ class TestBuildTraining:
         source, target = toy_corpora()
         extractor = FeatureExtractor(("CF",))
         instances, _ = build_training("easy", source, target, extractor)
-        n_source = sum(len(d.sentences) for d in source)
+        assert len(instances) == len(source) + len(target)
+        n_source = len(source)
         for idx, inst in enumerate(instances):
             domain = "source" if idx < n_source else "target"
             for fv in inst.features:
@@ -159,6 +161,26 @@ class TestBuildTraining:
 
     def test_modes_constant_is_exhaustive(self):
         assert set(MODES) == {"target", "all", "transit", "easy"}
+
+
+class TestDocumentInstances:
+    @pytest.mark.parametrize("mode", ["all", "easy"])
+    def test_per_sentence_instances_train_the_same_model(self, mode, tmp_path):
+        """The objective averages over sentences, so cutting every document
+        into one instance per sentence writes the same model file."""
+        source, target = toy_corpora()
+        instances, _ = build_training(mode, source, target, FeatureExtractor(("CF", "LNG")))
+        per_sentence = []
+        for inst in instances:
+            starts = np.cumsum((0,) + inst.features.lengths)
+            per_sentence += [
+                TrainingInstance(features, inst.gold[start : start + len(features)], f"{inst.source_id}#{si}")
+                for si, (features, start) in enumerate(zip(inst.features.sentences(), starts))
+            ]
+        assert len(instances) == 5 and len(per_sentence) == 8
+        train(instances, FAST).save(tmp_path / "documents.crf")
+        train(per_sentence, FAST).save(tmp_path / "sentences.crf")
+        assert (tmp_path / "documents.crf").read_bytes() == (tmp_path / "sentences.crf").read_bytes()
 
 
 class TestTargetModeIsPlainPath:

@@ -119,6 +119,24 @@ class TestTrain:
         warning = f"warning:training: optimizer stopped before convergence: {optimizer['message']}"
         assert result.stderr.strip() == warning.strip()
 
+    def test_transit_source_model_stop_is_warned(self, workspace):
+        result = run("train", "--config", cfg_path(workspace), "--set", "train.mode=transit",
+                     "--set", "train.max_iterations=2")
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning:training: stopped at max_iterations=2 before convergence",
+            "warning:training: source model stopped at max_iterations=2 before convergence",
+        ]
+
+    def test_oversized_sim_header_is_a_parse_error(self, workspace):
+        run("extract-knowledge", "--config", cfg_path(workspace))
+        sim = workspace / "kb" / "sim.tsv"
+        lines = sim.read_text(encoding="utf-8").splitlines(keepends=True)
+        sim.write_text("".join(["100000000 100000\n", *lines[1:]]), encoding="utf-8")
+        result = CliRunner().invoke(main, ["train", "--config", cfg_path(workspace), "--set", "features.groups=CF,SIM"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error:parse: {sim}:2:"), result.stderr
+
     def test_untrainable_settings_are_config_errors(self, workspace):
         for setting in ("train.l2=-1", "train.l2=nan", "train.tolerance=nan", "train.feature_cutoff=0"):
             result = CliRunner().invoke(main, ["train", "--config", cfg_path(workspace), "--set", setting])

@@ -16,7 +16,6 @@ from patseg.corpus import (
     decode_bmes,
     encode_bmes,
     read_corpus,
-    write_segmented_corpus,
 )
 
 
@@ -183,11 +182,6 @@ class TestReadCorpus:
             read_corpus(tmp_path, "raw")
         # the checksum of a directory of files needs no document ids
         assert len(checksum(tmp_path)) == 64
-
-    def test_write_round_trip(self, tmp_path):
-        doc = Document("p1", ("地板很好",), (("地板", "很", "好"),))
-        write_segmented_corpus([doc], tmp_path / "out")
-        assert read_corpus(tmp_path / "out", "segmented") == [doc]
 
 
 class TestAtomicWrite:

@@ -246,15 +246,18 @@ class TestColumns:
         assert list(columns) == [[("t", "a"), ("u", "b")], [], [("t", "d"), ("u", "c"), ("t", "e")]]
         assert list(columns_from_rows([[], []])) == [[], []]
 
-    def test_training_instance_holds_the_columns_of_one_sentence(self):
-        rows = [[("t", "a")], [("t", "b")]]
-        TrainingInstance(columns_from_rows(rows), ("B", "E"))
+    def test_training_instance_holds_the_columns_of_one_document(self):
+        rows = [[("t", "a")], [("t", "b")], [("t", "c")]]
+        TrainingInstance(columns_from_rows(rows), ("B", "E", "S"))
+        TrainingInstance(columns_from_rows(rows, (2, 1)), ("B", "E", "S"))
+        no_sentence = FeatureColumns((), (), np.zeros((0, 0), dtype=np.intp), ())
+        for empty in (columns_from_rows(rows, (2, 0, 1)), columns_from_rows([], (0,)), no_sentence):
+            with pytest.raises(ValueError, match="empty sentence"):
+                TrainingInstance(empty, ("B", "E", "S")[: len(empty)])
         with pytest.raises(ValueError):
-            TrainingInstance(columns_from_rows(rows, (1, 1)), ("S", "S"))
-        with pytest.raises(ValueError):
-            TrainingInstance(rows, ("B", "E"))
-        with pytest.raises(ValueError):
-            TrainingInstance(columns_from_rows(rows), ("S",))
+            TrainingInstance(rows, ("B", "E", "S"))
+        with pytest.raises(ValueError, match="mismatch"):
+            TrainingInstance(columns_from_rows(rows, (2, 1)), ("B", "E"))
 
     def test_sentences_split_by_length(self):
         columns = coded(("t",), (["a", "b", "c"],), (2, 1))
@@ -651,6 +654,17 @@ class TestTrain:
             with pytest.raises(TrainingError) as err:
                 log_likelihood_and_gradient(model, [inst])
         assert "rand-3" in str(err.value)
+
+    def test_non_finite_objective_names_instance_and_sentence(self):
+        healthy = instance([[("t", "a")]], "S", "doc-0")
+        doc = TrainingInstance(run_of([[[("t", "a")], [("t", "a")]], [[("t", "b"), ("u", "c")]]]), ("B", "E", "S"), "doc-1")
+        reg = build_registry([healthy, doc])
+        model = CrfModel(reg, np.zeros(reg.n_weights))
+        # the two slots that co-occur only in sentence 1 overflow its emission sum
+        model.weights[len(LABELS) : 3 * len(LABELS)] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="'doc-1', sentence 1"):
+                log_likelihood_and_gradient(model, [healthy, doc])
 
 
 def transit_pair():

@@ -323,6 +323,21 @@ class TestKnowledgeArchive:
             KnowledgeBase.load(tmp_path / "kb")
         assert f"{sim}:{len(lines) + 1}" in str(err.value)
 
+    def test_sim_header_is_not_an_allocation_size(self, tmp_path):
+        """A header declaring far more rows and columns than the file
+        holds is a parse error, not an attempt to allocate its product."""
+        self.make_kb().save(tmp_path / "kb")
+        sim = tmp_path / "kb" / "sim.tsv"
+        lines = sim.read_text(encoding="utf-8").splitlines(keepends=True)
+        sim.write_text("".join(["100000000 100000\n", *lines[1:]]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert f"{sim}:2" in str(err.value) and "100000 numbers" in str(err.value)
+        sim.write_text("".join(["100000000 " + lines[0].split()[1] + "\n", *lines[1:]]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert "header declares 100000000" in str(err.value)
+
     @pytest.mark.parametrize("name", ["cpos.tsv", "dict.txt", "sim.tsv"])
     def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch, name):
         root = tmp_path / "kb"

@@ -222,7 +222,8 @@ class TestColumnsOracle:
             for doc, domain in ((source_doc, "source"), (target_doc, "target"))
             for rows in reference_rows(self.extractor, doc)
         ]
-        assert [list(inst.features) for inst in instances] == expected
+        assert [len(inst.features.lengths) for inst in instances] == [len(source), len(target)]
+        assert [list(s) for inst in instances for s in inst.features.sentences()] == expected
         decoded = decoding_features(target_doc, self.extractor, "easy")
         assert [list(s) for s in decoded] == expected[len(source):]
 
