@@ -11,7 +11,9 @@ or whose ``transit`` source model, stops before converging, at
 
 ``train`` writes one model file, which for ``transit`` also holds the
 source model, and ``segment`` reads only that file.  A model file that is
-damaged or not a model is refused with ``error:invalid:``.
+damaged or not a model, or whose manifest gives feature groups that are
+not a list of known groups or an unknown mode, is refused with
+``error:invalid:``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from pathlib import Path
 import click
 
 from . import adaptation, evaluation
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import MODES, ConfigError, RunConfig, load_config, parse_config
 from .corpus import Document, ParseError, atomic_write, checksum, corpus_files, read_corpus, read_lines
 from .crf import CrfModel, TrainConfig, TrainingError, train as crf_train
 from .external_features import KnowledgeBase, build_knowledge, read_tagged_corpus
-from .pipeline import EXTERNAL_GROUPS, FeatureExtractor
+from .pipeline import EXTERNAL_GROUPS, FEATURE_GROUPS, FeatureExtractor
 
 
 class MismatchError(RuntimeError):
@@ -45,10 +47,15 @@ _ERROR_CATEGORIES = (
 
 
 def _fail(exc: Exception) -> "None":
-    for exc_type, category in _ERROR_CATEGORIES:
-        if isinstance(exc, exc_type):
-            click.echo(f"error:{category}: {exc}", err=True)
-            sys.exit(1)
+    # the category of the first categorized exception along the __cause__
+    # chain, so a wrapper keeps its cause's category and its own message
+    cause: BaseException | None = exc
+    while cause is not None:
+        for exc_type, category in _ERROR_CATEGORIES:
+            if isinstance(cause, exc_type):
+                click.echo(f"error:{category}: {exc}", err=True)
+                sys.exit(1)
+        cause = cause.__cause__
     raise exc
 
 
@@ -208,8 +215,13 @@ def cmd_segment(model_path, input_path, output_path, knowledge_path, config_path
     try:
         model = CrfModel.load(_require(model_path, "model file"))
         manifest = model.manifest
-        groups = tuple(manifest.get("feature_groups", ("CF",)))
+        groups = manifest.get("feature_groups", ["CF"])
+        if not (isinstance(groups, list) and all(g in FEATURE_GROUPS for g in groups)):
+            raise ValueError(f"{model_path}: feature groups {groups!r} are not a list of known groups; retrain the model")
+        groups = tuple(groups)
         mode = manifest.get("mode", "target")
+        if mode not in MODES:
+            raise ValueError(f"{model_path}: unknown adaptation mode {mode!r}; retrain the model")
         if config_path or overrides:
             cfg = _load_run_config(config_path, overrides)
             if set(cfg.groups) != set(groups):

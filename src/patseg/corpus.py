@@ -102,6 +102,14 @@ class Document:
 Column = tuple[Sequence["str | None"], np.ndarray]
 
 
+def char_codes(text: str) -> tuple[list[str], np.ndarray]:
+    """The distinct characters of ``text`` in code point order, and the
+    index among them of every character of ``text``."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    distinct, codes = np.unique(points, return_inverse=True)
+    return list(map(chr, distinct.tolist())), codes.reshape(-1)
+
+
 @dataclass(frozen=True)
 class NGramIds:
     """Ids of the n-grams that lie inside one sentence.
@@ -136,11 +144,10 @@ class DocumentCodes:
     @classmethod
     def of(cls, doc: Document) -> "DocumentCodes":
         text = "".join(doc.sentences)
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        distinct, codes = np.unique(points, return_inverse=True)
+        chars, codes = char_codes(text)
         lengths = np.fromiter(map(len, doc.sentences), dtype=np.intp, count=len(doc.sentences))
         remaining = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(text))
-        return cls(text, list(map(chr, distinct.tolist())), codes.reshape(-1), lengths, remaining)
+        return cls(text, chars, codes, lengths, remaining)
 
     @property
     def starts(self) -> np.ndarray:

@@ -30,13 +30,14 @@ deterministic behavior: identical data and config reproduce
 bit-identical weights.
 
 Training and decoding share one core, :class:`PackedBatch`: a batch of
-sequences stored time-major with one row per position, so memory is
-O(sum of lengths), not O(sequences x longest).  Over that layout run the
-only forward-backward (scaled domain, renormalized at every step, so
-sequences of any length cannot overflow) and the only Viterbi (additive
-max-product in the log domain).  :meth:`CrfModel.viterbi`,
-:meth:`CrfModel.marginals` and :meth:`CrfModel.log_partition` take the
-columns of a whole run and pack all of its sentences into one batch.
+sequences whose rows are the positions in input order, sequence after
+sequence, so memory is O(sum of lengths), not O(sequences x longest).
+Over those rows run the only forward-backward (scaled domain,
+renormalized at every step, so sequences of any length cannot overflow)
+and the only Viterbi (additive max-product in the log domain).
+:meth:`CrfModel.viterbi`, :meth:`CrfModel.marginals` and
+:meth:`CrfModel.log_partition` take the columns of a whole run and put
+all of its sentences into one batch.
 
 Each pass is a linear recursion whose steps are 4x4 matrices, and
 composing steps is associative (Blelloch's prefix sums; Sarkka and
@@ -289,11 +290,11 @@ class CrfModel:
 
     def label_ids(self, columns: FeatureColumns) -> np.ndarray:
         """Highest-scoring labeling of every sentence of the run as indices
-        into ``LABELS``, in row order, all decoded in one packed pass.
+        into ``LABELS``, in row order, all decoded in one batched pass.
         Ties between labelings whose scores are equal in floating point
         resolve to the lexicographically smallest under B < M < E < S."""
         batch, e, w_t = self._scores(columns)
-        return batch.natural(batch.viterbi(e, w_t))
+        return batch.viterbi(e, w_t)
 
     def viterbi(self, columns: FeatureColumns) -> list[str]:
         """:meth:`label_ids` as label names."""
@@ -309,7 +310,7 @@ class CrfModel:
         """Posterior over labels of every row of the run, in row order,
         each row summing to one."""
         batch, e, w_t = self._scores(columns)
-        return batch.natural(batch.forward_backward(e, w_t)[1])
+        return batch.forward_backward(e, w_t)[1]
 
     def save(self, path: str | Path) -> None:
         """Write this model and its source model, if any, to one file in
@@ -382,21 +383,19 @@ def _decode_models(data: bytes) -> CrfModel:
 
 
 class PackedBatch:
-    """Sequences packed time-major, the one layout every CRF pass runs on.
+    """Sequences one after another, the one layout every CRF pass runs on.
 
-    Sequences are stably sorted longest first, so the ones still running
-    at step ``t`` are a prefix of the batch.  Position ``t`` of the
-    ``s``-th sorted sequence is row ``offset[t] + s``: step ``t`` owns the
-    contiguous rows ``offset[t] : offset[t] + active[t]``, and row
-    ``offset[t] + s`` continues row ``offset[t - 1] + s`` (the layout of
-    PyTorch's PackedSequence).  Every array has one row per position, so
-    memory is O(sum of lengths) however long the longest sequence is.
+    Rows are the positions in input order: sequence ``s`` owns the rows
+    ``starts[s] : starts[s] + lengths[s]``, and ``seq_of_row[r]`` is the
+    sequence of row ``r``.  ``later`` are the rows that continue the row
+    before them, every row but the sequences' first.  Every array has one
+    row per position, so memory is O(sum of lengths) however long the
+    longest sequence is.
 
     ``ids`` are the compiled slot ids (templates by rows, see
-    :meth:`FeatureRegistry.compile`) with the rows in packed order;
-    ``rows[p]`` is the input-order row of packed row ``p``.  With
-    ``gold`` labels (one per input-order row) the batch also holds the
-    empirical feature counts the training objective needs.
+    :meth:`FeatureRegistry.compile`).  With ``gold`` labels (one per row)
+    the batch also holds the empirical feature counts the training
+    objective needs.
 
     The passes (:meth:`forward_backward`, :meth:`viterbi`) are chunked
     scans over a chunk plan built once per batch, see the module
@@ -410,31 +409,23 @@ class PackedBatch:
         n_slots: int,
         gold: np.ndarray | None = None,
     ):
-        in_order = np.asarray(lengths, dtype=np.intp)
-        if len(in_order) == 0:
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        if len(self.lengths) == 0:
             raise ValueError("cannot pack an empty batch")
-        self.n = len(in_order)
-        self.order = np.argsort(-in_order, kind="stable")
-        self.lengths = in_order[self.order]
-        if self.lengths[-1] == 0:
+        if self.lengths.min() == 0:
             raise ValueError("cannot decode an empty sequence")
-        self.l_max = int(self.lengths[0])
-        steps = np.arange(1, self.l_max + 1)
-        self.active = np.searchsorted(-self.lengths, -steps, side="right")
-        self.offset = np.concatenate(([0], np.cumsum(self.active)[:-1]))
+        self.n = len(self.lengths)
+        self.l_max = int(self.lengths.max())
         self.n_rows = int(self.lengths.sum())
-        # row offset[t] + s (t >= 1) continues row offset[t - 1] + s
-        self.prev_rows = np.arange(self.n, self.n_rows) - np.repeat(self.active[:-1], self.active[1:])
-        self.seq_of_row = np.arange(self.n_rows) - np.repeat(self.offset, self.active)
-        starts = np.cumsum(in_order) - in_order
-        self.rows = starts[self.order][self.seq_of_row] + np.repeat(np.arange(self.l_max), self.active)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.seq_of_row = np.repeat(np.arange(self.n), self.lengths)
+        self.later = np.flatnonzero(np.arange(self.n_rows) != self.starts[self.seq_of_row])
         self.n_slots = n_slots
-        self.ids = ids[:, self.rows]
+        self.ids = ids
 
         if gold is not None:
-            labels = gold[self.rows]
-            one_hot = np.eye(N_LABELS)[labels]
-            pairs = labels[self.prev_rows] * N_LABELS + labels[self.n :]
+            one_hot = np.eye(N_LABELS)[gold]
+            pairs = gold[self.later - 1] * N_LABELS + gold[self.later]
             self.empirical = np.concatenate(
                 [
                     (self.features.T @ one_hot).ravel(),
@@ -455,12 +446,6 @@ class PackedBatch:
             (np.ones(len(indices)), indices, indptr), shape=(self.n_rows, self.n_slots)
         )
 
-    def natural(self, packed: np.ndarray) -> np.ndarray:
-        """Packed rows back in input order, sequence after sequence."""
-        out = np.empty_like(packed)
-        out[self.rows] = packed
-        return out
-
     def emissions(self, table: np.ndarray) -> np.ndarray:
         """Emission scores of every row: the ``table`` rows of its slot
         ids summed in template order, ``table`` being the emission weights
@@ -476,17 +461,21 @@ class PackedBatch:
     def _plan(self) -> _ChunkPlan:
         """Where every position sits in the chunked scan, built once per batch.
 
-        Position ``t`` of sorted sequence ``s`` lies in chunk ``t // size``
-        at in-chunk offset ``t % size``.  Each chunk owns one carry slot,
-        ``across_start[c] + s`` for chunk ``c``, so the slots of one chunk
-        index are contiguous and those still running are a prefix.  Scan
-        rows are the positions grouped by in-chunk offset, and within an
-        offset by chunk, longest chunks first, so the chunks still running
-        at an offset are a prefix too.  Both scan directions use the same
-        rows: a backward pass counts ``t`` from the end of its sequence.
+        Sequences are ranked longest first by one stable sort, so those
+        long enough to reach a chunk index are a prefix of the ranking.
+        Position ``t`` of the sequence ranked ``s`` lies in chunk
+        ``t // size`` at in-chunk offset ``t % size``.  Each chunk owns one
+        carry slot, ``across_start[c] + s`` for chunk ``c``, so the slots
+        of one chunk index are contiguous and those still running are a
+        prefix.  Scan rows are the positions grouped by in-chunk offset,
+        and within an offset by chunk, longest chunks first, so the chunks
+        still running at an offset are a prefix too.  Both scan directions
+        use the same rows: a backward pass counts ``t`` from the end of its
+        sequence.
         """
         size = _chunk_length(self.l_max)
-        lengths = self.lengths
+        order = np.argsort(-self.lengths, kind="stable")
+        lengths = self.lengths[order]
         # sequences with a chunk c: those longer than c * size
         per_chunk = np.searchsorted(-lengths, -np.arange(0, self.l_max, size), side="left")
         across_start = np.cumsum(per_chunk) - per_chunk
@@ -499,11 +488,14 @@ class PackedBatch:
         rank[by_length] = np.arange(n_chunks)
         per_offset = np.searchsorted(-chunk_length[by_length], -np.arange(size), side="left")
         offset_start = np.cumsum(per_offset) - per_offset
+        # every row's sequence by its rank (the inverse permutation of
+        # order), and its position in the sequence
+        ranked = np.argsort(order)[self.seq_of_row]
+        time = np.arange(self.n_rows) - self.starts[self.seq_of_row]
 
         def scan_row(t: np.ndarray) -> np.ndarray:
-            return offset_start[t % size] + rank[across_start[t // size] + self.seq_of_row]
+            return offset_start[t % size] + rank[across_start[t // size] + ranked]
 
-        time = np.repeat(np.arange(self.l_max), self.active)
         forward = np.empty(self.n_rows, dtype=np.intp)
         forward[scan_row(time)] = np.arange(self.n_rows)
         backward = np.empty(self.n_rows, dtype=np.intp)
@@ -546,8 +538,8 @@ class PackedBatch:
         return apply(carry[..., plan.carry_slot], prefix)
 
     def _chain(self, rows: np.ndarray, v: np.ndarray, trans: np.ndarray, max_plus: bool) -> np.ndarray:
-        """States of a recursion over the packed ``rows`` in scan order,
-        rows x labels in packed order.  In sum-product, ``state(j) = v(j)
+        """States of a recursion over the batch ``rows`` in scan order,
+        rows x labels in batch order.  In sum-product, ``state(j) = v(j)
         * sum_i prev(i) trans(i, j)``, renormalized to sum to one; in
         max-plus, ``state(j) = v(j) + max_i (prev(i) + trans(i, j))``.  A
         sequence's first row has ``state = v`` (renormalized)."""
@@ -584,39 +576,42 @@ class PackedBatch:
         Each scan holds 16 floats of prefix per row and one state per
         chunk, so memory stays O(positions).
 
-        Returns log Z per sorted sequence, the posterior marginals
-        (rows x labels) and the expected transition counts summed over
-        the batch (labels x labels).
+        Returns log Z per sequence, the posterior marginals (rows x
+        labels) and the expected transition counts summed over the batch
+        (labels x labels).
         """
         shift = e.max(axis=1)
         emit = np.exp(e - shift[:, None])
         t_shift = w_t.max()
         trans = np.exp(w_t - t_shift)
-        plan, n = self._plan, self.n
+        plan, starts, later = self._plan, self.starts, self.later
+        prev = later - 1
+        # np.take gathers rows several times faster than indexing with [...]
 
         alpha = self._chain(plan.forward, emit, trans, max_plus=False)
+        alpha_prev = np.take(alpha, prev, axis=0)
         scale = np.empty(self.n_rows)
-        scale[:n] = emit[:n].sum(axis=1)
-        scale[n:] = ((alpha[self.prev_rows] @ trans) * emit[n:]).sum(axis=1)
-        log_z = np.bincount(self.seq_of_row, np.log(scale) + shift, minlength=n)
+        scale[starts] = np.take(emit, starts, axis=0).sum(axis=1)
+        scale[later] = ((alpha_prev @ trans) * np.take(emit, later, axis=0)).sum(axis=1)
+        log_z = np.bincount(self.seq_of_row, np.log(scale) + shift, minlength=self.n)
         log_z += (self.lengths - 1) * t_shift
 
         # rows that end a sequence keep beta = 1
         beta = np.ones_like(emit)
-        b = self._chain(plan.backward, emit, trans.T, max_plus=False)[n:] @ trans.T
-        beta[self.prev_rows] = b / b.sum(axis=1)[:, None]
+        b = np.take(self._chain(plan.backward, emit, trans.T, max_plus=False), later, axis=0) @ trans.T
+        beta[prev] = b / b.sum(axis=1)[:, None]
 
         gamma = alpha * beta
         norm = gamma.sum(axis=1)
         gamma /= norm[:, None]
         # xi for the pair (prev row, row) is alpha_prev(i) trans(i, j)
         # emit(j) beta(j), whose total is scale * norm at the row
-        later = emit[n:] * beta[n:] / (scale[n:] * norm[n:])[:, None]
-        xi = trans * (alpha[self.prev_rows].T @ later)
+        ahead = np.take(emit * beta / (scale * norm)[:, None], later, axis=0)
+        xi = trans * (alpha_prev.T @ ahead)
         return log_z, gamma, xi
 
     def viterbi(self, e: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-        """Packed label ids of each sequence's highest-scoring labeling.
+        """Label ids of each sequence's highest-scoring labeling, one per row.
 
         Ties between labelings whose scores are equal in floating point
         resolve to the lexicographically smallest sequence under
@@ -643,7 +638,7 @@ class PackedBatch:
 class _ChunkPlan:
     """Index arrays of :meth:`PackedBatch._plan`, O(positions) in all.
 
-    ``forward[i]`` and ``backward[i]`` are the packed rows of scan row
+    ``forward[i]`` and ``backward[i]`` are the batch rows of scan row
     ``i`` in either direction.  Scan rows ``0 .. len(chunk_end) - 1`` are
     the first rows of the chunks; ``starts`` are those that begin a
     sequence.  ``carry_slot[i]`` is the carry slot of the chunk of scan
@@ -744,7 +739,7 @@ def log_likelihood_and_gradient(
         batch.features @ model._emission_weights(), model._transition_weights()
     )
     if not np.all(np.isfinite(log_z)):
-        bad = int(batch.order[np.flatnonzero(~np.isfinite(log_z))[0]])
+        bad = int(np.flatnonzero(~np.isfinite(log_z))[0])
         counts = [len(inst.features.lengths) for inst in instances]
         i = int(np.searchsorted(np.cumsum(counts), bad, side="right"))
         sentence = bad - sum(counts[:i])
@@ -778,37 +773,34 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     the instances' columns.  Each template lists its values in the order
     they first occur: rows in instance order, then a row's columns left
     to right.  Works on distinct codes: each instance's column gives every
-    code its first row and its count in a few array reductions, and only
-    the distinct values are looked up.
+    code its first row and its count in a few array reductions, the codes
+    of an instance's columns are sorted once by (first row, column), and
+    each is then counted into its template's dictionary in that order, so
+    a dictionary's insertion order is the first-seen order.
     """
-    runs = [inst.features for inst in instances]
-    width = max((len(run.templates) for run in runs), default=0)
-    # per template: value -> index in the order met, and the (indices,
-    # first-seen keys row * width + column, counts) of every column
-    index: dict[str, dict[str | None, int]] = {}
-    seen: dict[str, list[tuple[np.ndarray, ...]]] = {}
-    start = 0
-    for run in runs:
-        for j, (template_id, table, codes) in enumerate(zip(run.templates, run.tables, run.codes)):
+    # per template: value -> count, in the order the values are met
+    met: dict[str, dict[str | None, int]] = {}
+    for inst in instances:
+        run = inst.features
+        if not run.templates:
+            continue
+        counters, values, firsts, counts = [], [], [], []
+        for template_id, table, codes in zip(run.templates, run.tables, run.codes):
             present, first_row, count = _occurrences(codes, len(table))
-            met = index.setdefault(template_id, {})
-            where = np.array([met.setdefault(v, len(met)) for v in map(table.__getitem__, present.tolist())], dtype=np.intp)
-            seen.setdefault(template_id, []).append((where, (start + first_row) * width + j, count))
-        start += len(run)
-
-    values = {}
-    for template_id, parts in seen.items():
-        where, first_key, count = (np.concatenate(column) for column in zip(*parts))
-        met = index[template_id]
-        first = np.full(len(met), np.iinfo(np.int64).max)
-        np.minimum.at(first, where, first_key)
-        enough = np.bincount(where, weights=count, minlength=len(met)) >= feature_cutoff
-        if None in met:
-            enough[met[None]] = False
-        listed = np.flatnonzero(enough)
-        met_values = list(met)
-        values[template_id] = [met_values[i] for i in listed[np.argsort(first[listed])].tolist()]
-    return FeatureRegistry(values)
+            counters += [met.setdefault(template_id, {})] * len(present)
+            values += map(table.__getitem__, present.tolist())
+            firsts.append(first_row)
+            counts.append(count)
+        # by first row, then column: the columns are concatenated in column
+        # order and the sort is stable
+        order = np.argsort(np.concatenate(firsts), kind="stable")
+        ranked = order.tolist()
+        totals = np.concatenate(counts)[order].tolist()
+        for counter, value, n in zip(map(counters.__getitem__, ranked), map(values.__getitem__, ranked), totals):
+            counter[value] = counter.get(value, 0) + n
+    return FeatureRegistry(
+        {t: [v for v, c in counter.items() if c >= feature_cutoff and v is not None] for t, counter in met.items()}
+    )
 
 
 def _occurrences(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

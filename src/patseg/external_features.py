@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Column, Document, DocumentCodes, ParseError, atomic_write, corpus_files, read_lines
+from .corpus import Column, Document, DocumentCodes, ParseError, atomic_write, char_codes, corpus_files, read_lines
 from .corpus import checksum as archive_checksum  # noqa: F401  (re-exported: an archive's checksum)
 
 NO_TAG = "<none>"
@@ -34,6 +34,7 @@ SIM_OFFSETS = (-2, -1, 1, 2)
 SIM_TABLE = (ZERO_SIM, *(str(k) for k in range(10)))
 DICT_TABLE = ("0", "1")
 _COSINE_BLOCK = 4096
+_COOCCURRENCE_BLOCK = 1024
 
 # Five dictionary windows around position i, as (start, end) offsets.
 _DICT_WINDOWS = ((0, 3), (-1, 2), (-2, 1), (0, 2), (-1, 1))
@@ -166,22 +167,24 @@ def cooccurrence_matrix(sentences: list[str]) -> tuple[list[str], np.ndarray]:
     Vocabulary is the sorted set of characters.  A sentence holding x
     m times and y k times adds m*k to M[x][y] (one increment per
     co-occurring pair instance); the diagonal stays zero.
+
+    ``M`` is X^T X with its diagonal cleared, X being the
+    sentences-by-characters count table, built by ``np.bincount`` over
+    the character codes one block of sentences at a time.  The counts
+    are integers, so every sum is exact whatever its order.
     """
-    vocab = sorted({c for sent in sentences for c in sent})
-    index = {c: i for i, c in enumerate(vocab)}
+    vocab, codes = char_codes("".join(sentences))
     n = len(vocab)
-    m = np.zeros((n, n), dtype=np.float64)
-    for sent in sentences:
-        counts = Counter(sent)
-        chars = list(counts)
-        for a in range(len(chars)):
-            ia = index[chars[a]]
-            ca = counts[chars[a]]
-            for b in range(a + 1, len(chars)):
-                ib = index[chars[b]]
-                pairs = ca * counts[chars[b]]
-                m[ia, ib] += pairs
-                m[ib, ia] += pairs
+    lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    m = np.zeros((n, n))
+    for lo in range(0, len(sentences), _COOCCURRENCE_BLOCK):
+        block = lengths[lo : lo + _COOCCURRENCE_BLOCK]
+        sentence = np.repeat(np.arange(len(block)), block)
+        keys = sentence * n + codes[bounds[lo] : bounds[lo + len(block)]]
+        x = np.bincount(keys, minlength=len(block) * n).reshape(len(block), n).astype(np.float64)
+        m += x.T @ x
+    np.fill_diagonal(m, 0.0)
     return vocab, m
 
 

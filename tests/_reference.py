@@ -16,6 +16,10 @@ dictionary entry per n-gram or position, are the oracles of the coded
 ones: :func:`levelwise_lng` for the repeated sequences, and
 :func:`string_trigram_scores` with :func:`string_bins` for PKL/PMI and
 their bins.
+
+:func:`pairwise_cooccurrence` counts character co-occurrences pair by
+pair over each sentence's distinct characters, the oracle of the
+matrix product in :func:`~patseg.external_features.cooccurrence_matrix`.
 """
 
 from __future__ import annotations
@@ -146,28 +150,28 @@ def sequential_forward_backward(batch: PackedBatch, e: np.ndarray, w_t: np.ndarr
     trans = np.exp(w_t - t_shift)
     alpha = np.empty_like(emit)
     scale = np.empty(batch.n_rows)
-    n, offset, active = batch.n, batch.offset, batch.active
-    scale[:n] = emit[:n].sum(axis=1)
-    alpha[:n] = emit[:n] / scale[:n, None]
+    starts, lengths, later = batch.starts, batch.lengths, batch.later
+    scale[starts] = emit[starts].sum(axis=1)
+    alpha[starts] = emit[starts] / scale[starts, None]
     for t in range(1, batch.l_max):
-        prev_lo, lo, k = offset[t - 1], offset[t], active[t]
-        a = alpha[prev_lo : prev_lo + k] @ trans * emit[lo : lo + k]
-        scale[lo : lo + k] = a.sum(axis=1)
-        alpha[lo : lo + k] = a / scale[lo : lo + k, None]
-    log_z = np.bincount(batch.seq_of_row, np.log(scale) + shift, minlength=n)
-    log_z += (batch.lengths - 1) * t_shift
+        rows = starts[lengths > t] + t
+        a = alpha[rows - 1] @ trans * emit[rows]
+        scale[rows] = a.sum(axis=1)
+        alpha[rows] = a / scale[rows, None]
+    log_z = np.bincount(batch.seq_of_row, np.log(scale) + shift, minlength=batch.n)
+    log_z += (lengths - 1) * t_shift
 
     beta = np.ones_like(emit)
     for t in range(batch.l_max - 2, -1, -1):
-        lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
-        b = (emit[next_lo : next_lo + k] * beta[next_lo : next_lo + k]) @ trans.T
-        beta[lo : lo + k] = b / b.sum(axis=1)[:, None]
+        rows = starts[lengths > t + 1] + t
+        b = (emit[rows + 1] * beta[rows + 1]) @ trans.T
+        beta[rows] = b / b.sum(axis=1)[:, None]
 
     gamma = alpha * beta
     norm = gamma.sum(axis=1)
     gamma /= norm[:, None]
-    later = emit[n:] * beta[n:] / (scale[n:] * norm[n:])[:, None]
-    xi = trans * (alpha[batch.prev_rows].T @ later)
+    ahead = emit[later] * beta[later] / (scale[later] * norm[later])[:, None]
+    xi = trans * (alpha[later - 1].T @ ahead)
     return log_z, gamma, xi
 
 
@@ -176,16 +180,32 @@ def sequential_viterbi(batch: PackedBatch, e: np.ndarray, w_t: np.ndarray) -> np
     backward, then the labels read out forward, each the first label that
     still attains the optimum."""
     best = e.copy()
-    offset, active = batch.offset, batch.active
+    starts, lengths = batch.starts, batch.lengths
     for t in range(batch.l_max - 2, -1, -1):
-        lo, next_lo, k = offset[t], offset[t + 1], active[t + 1]
-        best[lo : lo + k] += (w_t + best[next_lo : next_lo + k, None, :]).max(axis=2)
+        rows = starts[lengths > t + 1] + t
+        best[rows] += (w_t + best[rows + 1, None, :]).max(axis=2)
     labels = np.empty(batch.n_rows, dtype=np.intp)
-    labels[: batch.n] = best[: batch.n].argmax(axis=1)
+    labels[starts] = best[starts].argmax(axis=1)
     for t in range(1, batch.l_max):
-        prev_lo, lo, k = offset[t - 1], offset[t], active[t]
-        labels[lo : lo + k] = (w_t[labels[prev_lo : prev_lo + k]] + best[lo : lo + k]).argmax(axis=1)
+        rows = starts[lengths > t] + t
+        labels[rows] = (w_t[labels[rows - 1]] + best[rows]).argmax(axis=1)
     return labels
+
+
+def pairwise_cooccurrence(sentences: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Co-occurrence counts by a loop over the pairs of each sentence's
+    distinct characters: a sentence holding x m times and y k times adds
+    m*k to M[x][y] and M[y][x]."""
+    vocab = sorted({c for sent in sentences for c in sent})
+    index = {c: i for i, c in enumerate(vocab)}
+    m = np.zeros((len(vocab), len(vocab)))
+    for sent in sentences:
+        counts = list(Counter(sent).items())
+        for a, (x, cx) in enumerate(counts):
+            for y, cy in counts[a + 1 :]:
+                m[index[x], index[y]] += cx * cy
+                m[index[y], index[x]] += cx * cy
+    return vocab, m
 
 
 def levelwise_lng(doc: Document) -> set[str]:

@@ -400,6 +400,27 @@ class TestSegment:
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ") and str(model_path) in result.stderr
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_groups", 5), ("feature_groups", [[1]]), ("feature_groups", "CF"), ("feature_groups", ["CF", "XYZ"]),
+        ("mode", 5), ("mode", "sideways"),
+    ])
+    def test_a_manifest_of_the_wrong_type_is_an_invalid_error(self, workspace, field, value):
+        """Feature groups that are not a list of known groups, or a mode
+        that is not one of the modes, are the model file's fault: refused
+        with a message to retrain, not a traceback or a config error."""
+        run("train", "--config", cfg_path(workspace))
+        model_path = workspace / "out" / "model.crf"
+        model = CrfModel.load(model_path)
+        model.manifest[field] = value
+        model.save(model_path)
+        result = CliRunner().invoke(
+            main, ["segment", "--model", str(model_path), "--input", str(workspace / "raw"),
+                   "--output", str(workspace / "pred")],
+        )
+        assert result.exit_code == 1, result.exception
+        assert result.stderr.startswith("error:invalid: ") and str(model_path) in result.stderr
+        assert "retrain" in result.stderr
+
     def test_feature_group_mismatch_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))
         result = CliRunner().invoke(
@@ -593,6 +614,19 @@ class TestCurve:
         )
         assert result.exit_code == 1
         assert not (workspace / "out" / "report.csv").exists()
+
+    def test_a_failing_cell_prints_the_category_of_its_cause(self, workspace):
+        """A cell that fails prints one error line with its cause's
+        category and a message naming the cell, not a traceback."""
+        for path in (workspace / "source").iterdir():
+            path.unlink()
+        (workspace / "source" / "s1.pos").write_text("\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["curve", "--config", cfg_path(workspace), "--set", "curve.modes=all", "--set", "curve.sizes=1"],
+        )
+        assert result.exit_code == 1, result.exception
+        assert result.stderr.startswith("error:config: ") and result.stderr.count("\n") == 1
+        assert "(mode=all, size=1)" in result.stderr and "needs a source corpus" in result.stderr
 
 
 class TestConfigErrors:

@@ -325,6 +325,8 @@ class TestColumns:
                 document = [random_instance(rng, int(n), n_templates, n_values=6) for n in rng.integers(1, 6, rng.integers(1, 4))]
                 instances += [TrainingInstance(s, inst.gold) for s, inst in zip(run_of([list(i.features) for i in document]).sentences(), document)]
             instances.append(instance([[("t0", "v1"), ("t0", "v9")], [("t0", "v9"), ("t1", "v1"), ("t0", "v2")]], "SS"))
+            # rows before columns: t lists a, c, b, not column by column a, b, c
+            instances.append(instance([[("t", "a"), ("t", "c")], [("t", "b")]], "SS"))
             for cutoff in (1, 2, 3):
                 got, expected = build_registry(instances, cutoff), value_registry(instances, cutoff)
                 assert [(t, list(v)) for t, v in got._slots.items()] == list(expected.items())

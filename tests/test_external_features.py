@@ -27,6 +27,8 @@ from patseg.external_features import (
     similarity_codes,
 )
 
+from _reference import pairwise_cooccurrence
+
 
 def tagged_corpus(tmp_path, lines, name="s1.pos"):
     (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -101,6 +103,24 @@ class TestCooccurrence:
         _, m = cooccurrence_matrix(sentences)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0)
+
+
+    def test_equals_the_pairwise_loop_across_blocks(self):
+        """The block product equals the pair loop exactly, on sentences
+        spanning more than one block of the count table, with an empty
+        sentence, a tab and a character outside the Basic Multilingual
+        Plane."""
+        rng = np.random.default_rng(23)
+        alphabet = list("abcdefghij地板很好大\t") + ["\U00020000", "\U0001F600"]
+        sentences = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 12)))) for _ in range(2600)]
+        sentences[1500] = ""
+        vocab, m = cooccurrence_matrix(sentences)
+        expected_vocab, expected = pairwise_cooccurrence(sentences)
+        assert vocab == expected_vocab and "\t" in vocab and "\U00020000" in vocab
+        assert np.array_equal(m, expected)
+        for edge in ([], [""], ["x"], ["xyy", "\U00020000\t\U00020000"]):
+            got, expected = cooccurrence_matrix(edge), pairwise_cooccurrence(edge)
+            assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
 
 
 class TestPpmi:
