@@ -76,25 +76,35 @@ def _with_transit_labels(source_model: CrfModel, columns: FeatureColumns) -> Fea
     )
 
 
-def _document_columns(
+def _mode_columns(
     doc: Document,
     extractor: FeatureExtractor,
-    domain: str | None = None,
-    transit_model: CrfModel | None = None,
+    mode: str,
+    domain: str = TARGET_DOMAIN,
+    source_model: CrfModel | None = None,
 ) -> FeatureColumns:
+    """A document's columns in one mode's feature space, the one place
+    training and decoding make that decision: ``easy`` gives the
+    namespaces of ``domain``, ``transit`` adds the source model's labels,
+    and the other modes use the plain columns."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown adaptation mode {mode!r}")
+    if mode == "transit" and source_model is None:
+        raise ConfigError("transit mode needs the auxiliary source model")
     columns = extractor.document_columns(doc)
-    if transit_model is not None:
-        columns = _with_transit_labels(transit_model, columns)
-    if domain is not None:
-        columns = _namespaced(columns, domain)
+    if mode == "easy":
+        return _namespaced(columns, domain)
+    if mode == "transit":
+        return _with_transit_labels(source_model, columns)
     return columns
 
 
 def corpus_instances(
     docs: Sequence[Document],
     extractor: FeatureExtractor,
-    domain: str | None = None,
-    transit_model: CrfModel | None = None,
+    mode: str = "target",
+    domain: str = TARGET_DOMAIN,
+    source_model: CrfModel | None = None,
 ) -> list[TrainingInstance]:
     """One training instance per document, in corpus order."""
     out = []
@@ -102,7 +112,7 @@ def corpus_instances(
         if doc.words is None:
             raise ValueError(f"document {doc.doc_id!r} is not segmented")
         gold = tuple(label for words in doc.words for label in encode_bmes(words))
-        out.append(TrainingInstance(_document_columns(doc, extractor, domain, transit_model), gold, doc.doc_id))
+        out.append(TrainingInstance(_mode_columns(doc, extractor, mode, domain, source_model), gold, doc.doc_id))
     return out
 
 
@@ -126,40 +136,14 @@ def build_training(
     if mode != "target" and not source_docs:
         raise ConfigError(f"mode {mode!r} needs a source corpus")
 
-    if mode == "target":
-        return corpus_instances(target_docs, extractor), None
-    if mode == "all":
-        assert source_docs is not None
-        return (
-            corpus_instances(source_docs, extractor) + corpus_instances(target_docs, extractor),
-            None,
-        )
+    source_model = None
+    instances: list[TrainingInstance] = []
     if mode == "transit":
-        assert source_docs is not None
         source_model = train(corpus_instances(source_docs, extractor), train_config)
-        instances = corpus_instances(target_docs, extractor, transit_model=source_model)
-        return instances, source_model
-    assert source_docs is not None
-    instances = corpus_instances(source_docs, extractor, domain=SOURCE_DOMAIN)
-    instances += corpus_instances(target_docs, extractor, domain=TARGET_DOMAIN)
-    return instances, None
-
-
-def _decoding_columns(
-    doc: Document,
-    extractor: FeatureExtractor,
-    mode: str,
-    source_model: CrfModel | None,
-) -> FeatureColumns:
-    if mode not in MODES:
-        raise ConfigError(f"unknown adaptation mode {mode!r}")
-    if mode == "transit":
-        if source_model is None:
-            raise ConfigError("transit decoding needs the auxiliary source model")
-        return _document_columns(doc, extractor, transit_model=source_model)
-    if mode == "easy":
-        return _document_columns(doc, extractor, TARGET_DOMAIN)
-    return extractor.document_columns(doc)
+    elif mode != "target":
+        instances = corpus_instances(source_docs, extractor, mode, SOURCE_DOMAIN)
+    instances += corpus_instances(target_docs, extractor, mode, TARGET_DOMAIN, source_model)
+    return instances, source_model
 
 
 def decoding_features(
@@ -173,7 +157,7 @@ def decoding_features(
     Easy-mode test data gets the target namespaces; transit-mode test
     data gets the source model's predicted labels.
     """
-    return _decoding_columns(doc, extractor, mode, source_model).sentences()
+    return _mode_columns(doc, extractor, mode, source_model=source_model).sentences()
 
 
 def segment_document(
@@ -184,7 +168,7 @@ def segment_document(
     source_model: CrfModel | None = None,
 ) -> Document:
     """Decode every sentence of a document into words, in one batched pass."""
-    labels = model.viterbi(_decoding_columns(doc, extractor, mode, source_model))
+    labels = model.viterbi(_mode_columns(doc, extractor, mode, source_model=source_model))
     words = []
     start = 0
     for sent in doc.sentences:

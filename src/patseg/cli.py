@@ -27,7 +27,7 @@ import click
 from . import adaptation, evaluation
 from .config import MODES, ConfigError, RunConfig, load_config, parse_config
 from .corpus import Document, ParseError, atomic_write, checksum, corpus_files, read_corpus, read_lines
-from .crf import CrfModel, TrainConfig, TrainingError, train as crf_train
+from .crf import CrfModel, TrainingError, train as crf_train
 from .external_features import KnowledgeBase, build_knowledge, read_tagged_corpus
 from .pipeline import EXTERNAL_GROUPS, FEATURE_GROUPS, FeatureExtractor
 
@@ -129,15 +129,6 @@ def cmd_extract_knowledge(config_path, overrides) -> None:
         _fail(exc)
 
 
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        l2=cfg.l2,
-        max_iterations=cfg.max_iterations,
-        tolerance=cfg.tolerance,
-        feature_cutoff=cfg.feature_cutoff,
-    )
-
-
 @main.command("train")
 @_config_option
 @_set_option
@@ -158,7 +149,7 @@ def cmd_train(config_path, overrides) -> None:
             source_docs = _read_source_documents(cfg)
             checksums["source"] = checksum(cfg.source)
         extractor = FeatureExtractor(cfg.groups, knowledge)
-        train_config = _train_config(cfg)
+        train_config = cfg.train_config
         instances, source_model = adaptation.build_training(
             cfg.mode, source_docs, target_docs, extractor, train_config
         )
@@ -301,7 +292,7 @@ def cmd_curve(config_path, overrides) -> None:
             list(cfg.curve_sizes),
             list(cfg.curve_modes),
             extractor,
-            _train_config(cfg),
+            cfg.train_config,
         )
         report = io.StringIO()
         evaluation.write_curve_report(points, report)

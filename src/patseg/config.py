@@ -1,18 +1,15 @@
 """Run configuration: a flat key-value file with one section per concern.
 
-The canonical serialization always writes every key, so parsing and
-re-serializing a config is idempotent and a run's exact configuration can
-be archived next to its outputs.  CLI flags override file values.
+CLI flags override file values.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .crf import TrainConfig
 from .pipeline import normalize_groups
 
 # Training regimes; see the adaptation module.
@@ -28,7 +25,6 @@ class RunConfig:
     source: str = ""
     target_train: str = ""
     target_dev: str = ""
-    target_test: str = ""
     source_format: str = "tagged"  # tagged (word_TAG tokens) or plain
     groups: tuple[str, ...] = ("CF",)
     mode: str = "target"
@@ -54,14 +50,14 @@ class RunConfig:
             raise ConfigError(f"unknown source format {self.source_format!r}")
         if self.sim_k < 1:
             raise ConfigError("sim_k must be >= 1")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        for key in ("l2", "tolerance"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
-        if self.feature_cutoff < 1:
-            raise ConfigError("feature_cutoff must be >= 1")
+        try:
+            self.train_config
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @property
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(self.l2, self.max_iterations, self.tolerance, self.feature_cutoff)
 
 
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -69,7 +65,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "source": "source",
         "target_train": "target_train",
         "target_dev": "target_dev",
-        "target_test": "target_test",
         "source_format": "source_format",
     },
     "features": {"groups": "groups"},
@@ -104,16 +99,6 @@ def _parse_value(attr: str, raw: str):
     return raw
 
 
-def _format_value(attr: str, value) -> str:
-    if attr in ("groups", "curve_modes"):
-        return ",".join(value)
-    if attr == "curve_sizes":
-        return ",".join(str(s) for s in value)
-    if attr == "tolerance":
-        return repr(value)
-    return str(value)
-
-
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse config text; ``overrides`` maps "section.key" to raw values."""
     parser = configparser.ConfigParser()
@@ -144,14 +129,3 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"), overrides)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical text form: every key, in schema order."""
-    out = io.StringIO()
-    for section, keys in _SCHEMA.items():
-        out.write(f"[{section}]\n")
-        for key, attr in keys.items():
-            out.write(f"{key} = {_format_value(attr, getattr(config, attr))}\n")
-        out.write("\n")
-    return out.getvalue()

@@ -122,6 +122,16 @@ class TrainConfig:
     tolerance: float = 1e-6
     feature_cutoff: int = 1
 
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        for key in ("l2", "tolerance"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
+        if self.feature_cutoff < 1:
+            raise ValueError("feature_cutoff must be >= 1")
+
 
 @dataclass(frozen=True, eq=False)
 class FeatureColumns:
@@ -134,7 +144,7 @@ class FeatureColumns:
     order, ``lengths[s]`` rows for sentence ``s``.  Columns may share a
     table object, and the sentences cut from one run share its tables.
     Iterating yields each row as a list of (template-id, value) pairs in
-    template order; two runs are equal when those values are.
+    template order.
     """
 
     templates: tuple[str, ...]
@@ -159,11 +169,6 @@ class FeatureColumns:
         templates = self.templates
         rows = zip(*self.values()) if self.templates else itertools.repeat((), len(self))
         return ([(t, v) for t, v in zip(templates, values) if v is not None] for values in rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureColumns):
-            return NotImplemented
-        return (self.templates, self.lengths) == (other.templates, other.lengths) and self.values() == other.values()
 
     def sentences(self) -> list["FeatureColumns"]:
         """One FeatureColumns per sentence, sharing this run's tables."""
@@ -219,10 +224,6 @@ class FeatureRegistry:
     @property
     def n_weights(self) -> int:
         return self.n_slots * N_LABELS + N_LABELS * N_LABELS
-
-    def slot_items(self) -> list[tuple[tuple[str, str], int]]:
-        """Every registered pair with its slot, in slot order."""
-        return [((t, v), s) for t, values in self._slots.items() for v, s in values.items()]
 
     def compile(self, runs: Sequence[FeatureColumns]) -> np.ndarray:
         """Slot ids of the runs' rows, one row of the result per template.

@@ -127,9 +127,6 @@ class SimilarityModel:
     def dimension(self) -> int:
         return self.vectors.shape[1]
 
-    def __contains__(self, char: str) -> bool:
-        return char in self._index
-
     def indices(self, chars: Iterable[str]) -> np.ndarray:
         """Vocabulary row of every character, -1 for one without a vector."""
         return np.fromiter(map(self._index.get, chars, repeat(-1)), dtype=np.intp)

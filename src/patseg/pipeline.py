@@ -19,8 +19,8 @@ maps each table through its template's dictionary once, so training and
 decoding never look a value up per position.
 
 :meth:`FeatureExtractor.document_features` splits the same columns into
-one FeatureColumns per sentence, the unit of a training instance; the
-sentences share the document's tables.
+one FeatureColumns per sentence; the sentences share the document's
+tables.  A training instance holds the columns of a whole document.
 """
 
 from __future__ import annotations

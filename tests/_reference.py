@@ -121,8 +121,13 @@ def as_version_2(data: bytes) -> bytes:
     return b"".join(parts)
 
 
+def slot_items(registry: FeatureRegistry) -> list[tuple[tuple[str, str], int]]:
+    """Every registered (template-id, value) pair with its slot, in slot order."""
+    return [((t, v), s) for t, values in registry._slots.items() for v, s in values.items()]
+
+
 def emission_index(registry: FeatureRegistry, template_id: str, value: str, label: str) -> int:
-    slot = dict(registry.slot_items())[(template_id, value)]
+    slot = dict(slot_items(registry))[(template_id, value)]
     return slot * len(LABELS) + LABELS.index(label)
 
 

@@ -16,6 +16,8 @@ from patseg.corpus import Document, LABELS
 from patseg.crf import TrainConfig, TrainingInstance, train
 from patseg.pipeline import FeatureExtractor
 
+from _reference import slot_items
+
 
 def dense_augmentation(values, domain):
     """The augmented vector materialized over the tripled feature space.
@@ -30,6 +32,11 @@ def dense_augmentation(values, domain):
     if domain == "source":
         return list(values) + list(values) + zeros
     return list(values) + zeros + list(values)
+
+
+def sentence_rows(columns):
+    """A run's rows, sentence by sentence."""
+    return [list(s) for s in columns.sentences()]
 
 
 def make_doc(doc_id, sentences_words):
@@ -190,12 +197,30 @@ class TestTargetModeIsPlainPath:
         extractor = FeatureExtractor(("CF", "LNG"))
         instances, _ = build_training("target", source, target, extractor, FAST)
         direct = corpus_instances(target, extractor)
-        assert instances == direct
+        assert [(sentence_rows(i.features), i.gold, i.source_id) for i in instances] == [
+            (sentence_rows(i.features), i.gold, i.source_id) for i in direct
+        ]
         m1 = train(instances, FAST)
         m2 = train(direct, FAST)
         m1.save(tmp_path / "a.crf")
         m2.save(tmp_path / "b.crf")
         assert (tmp_path / "a.crf").read_bytes() == (tmp_path / "b.crf").read_bytes()
+
+
+class TestOneFeatureSpace:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_decoding_rows_equal_the_training_rows_of_a_target_document(self, mode):
+        """Decoding puts a target document in the feature space that its
+        training instance was built in, in every mode; for transit, with
+        the source model that training returned."""
+        source, target = toy_corpora()
+        extractor = FeatureExtractor(("CF", "LNG"))
+        instances, source_model = build_training(mode, source, target, extractor, FAST)
+        assert (source_model is not None) == (mode == "transit")
+        for doc, inst in zip(target, instances[-len(target):], strict=True):
+            assert inst.source_id == doc.doc_id
+            decoded = decoding_features(doc, extractor, mode, source_model)
+            assert [list(s) for s in decoded] == sentence_rows(inst.features)
 
 
 class TestEasyIsolation:
@@ -207,11 +232,11 @@ class TestEasyIsolation:
         model = train(instances, FAST)
         source_slots = {
             slot
-            for (template_id, _), slot in model.registry.slot_items()
+            for (template_id, _), slot in slot_items(model.registry)
             if template_id.startswith("source:")
         }
         assert source_slots
-        slots = dict(model.registry.slot_items())
+        slots = dict(slot_items(model.registry))
         for doc in target:
             for rows in decoding_features(doc, extractor, "easy"):
                 for fv in rows:
@@ -224,7 +249,9 @@ class TestDecodingFeatures:
         _, target = toy_corpora()
         extractor = FeatureExtractor(("CF",))
         doc = target[0]
-        assert decoding_features(doc, extractor, "target") == extractor.document_features(doc)
+        assert [list(s) for s in decoding_features(doc, extractor, "target")] == [
+            list(s) for s in extractor.document_features(doc)
+        ]
 
     def test_easy_mode_augments_with_target_tag(self):
         _, target = toy_corpora()

@@ -20,7 +20,7 @@ from patseg.crf import CrfModel, TrainConfig
 from patseg.external_features import KnowledgeBase, read_tagged_corpus
 from patseg.pipeline import FeatureExtractor
 
-from _reference import as_version_2
+from _reference import as_version_2, slot_items
 
 
 def run(*args):
@@ -56,7 +56,7 @@ class TestExtractKnowledge:
         result = run("extract-knowledge", "--config", cfg_path(workspace))
         assert result.exit_code == 0, result.output
         kb = KnowledgeBase.load(workspace / "kb")
-        assert kb.pos_lexicon["\t"] == "PU" and "\t" in kb.similarity
+        assert kb.pos_lexicon["\t"] == "PU" and "\t" in kb.similarity.vocab
         all_groups = ["--set", "features.groups=CF,C_POS,DICT,SIM"]
         result = run("train", "--config", cfg_path(workspace), *all_groups)
         assert result.exit_code == 0, result.output
@@ -67,6 +67,15 @@ class TestExtractKnowledge:
         )
         assert result.exit_code == 0, result.output
         assert (workspace / "pred" / "r1.seg").read_text(encoding="utf-8").replace(" ", "") == "干扰素\t很好\n"
+
+    def test_plain_source_is_refused_naming_the_tagged_format(self, workspace):
+        result = CliRunner().invoke(
+            main, ["extract-knowledge", "--config", cfg_path(workspace), "--set", "data.source_format=plain"]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:config: ") and result.stderr.count("\n") == 1
+        assert "tagged" in result.stderr
+        assert not (workspace / "kb").exists()
 
     def test_oversized_k_rejected_naming_inventory(self, workspace):
         result = CliRunner().invoke(
@@ -158,6 +167,22 @@ class TestTrain:
         )
         assert result.exit_code == 0, result.output
 
+    def test_easy_mode_trains_from_a_plain_segmented_source(self, workspace):
+        plain = workspace / "plain_source"
+        plain.mkdir()
+        for t in read_tagged_corpus(workspace / "source"):
+            (plain / f"{t.doc.doc_id}.seg").write_text(
+                "".join(" ".join(words) + "\n" for words in t.doc.words), encoding="utf-8"
+            )
+        result = run(
+            "train", "--config", cfg_path(workspace), "--set", "train.mode=easy",
+            "--set", f"data.source={plain}", "--set", "data.source_format=plain",
+        )
+        assert result.exit_code == 0, result.output
+        model = CrfModel.load(workspace / "out" / "model.crf")
+        assert model.manifest["mode"] == "easy"
+        assert any(t.startswith("source:") for (t, _), _ in slot_items(model.registry))
+
     def test_transit_persists_auxiliary_model(self, workspace):
         result = run(
             "train", "--config", cfg_path(workspace), "--set", "train.mode=transit"
@@ -170,7 +195,7 @@ class TestTrain:
             TrainConfig(l2=0.01, max_iterations=150),
         )
         loaded = CrfModel.load(workspace / "out" / "model.crf").source
-        assert loaded.registry.slot_items() == source_model.registry.slot_items()
+        assert slot_items(loaded.registry) == slot_items(source_model.registry)
         assert np.array_equal(loaded.weights, source_model.weights)
 
     def test_model_bytes_do_not_depend_on_where_the_corpora_live(self, workspace, tmp_path_factory):
