@@ -1,13 +1,17 @@
 """Command-line entry points for the segmentation pipeline.
 
 Subcommands: ``extract-knowledge``, ``train``, ``segment``, ``eval``,
-``curve``.  Every command takes ``--config PATH`` plus repeatable
-``--set section.key=value`` overrides; flags win over file values.  On
-failure the process exits nonzero after printing a single
-``error:<category>: message`` line to stderr.  A training run whose model,
-or whose ``transit`` source model, stops before converging, at
-``max_iterations`` or for any other reason the optimizer gives, prints a
-``warning:training:`` line per model to stderr and still succeeds.
+``curve``.  Every command but ``eval`` takes ``--config PATH`` plus
+repeatable ``--set section.key=value`` overrides; flags win over file
+values.  A training run whose model, or whose ``transit`` source model,
+stops before converging, at ``max_iterations`` or for any other reason the
+optimizer gives, prints a ``warning:training:`` line per model to stderr
+and still succeeds.
+
+Exit status: 0 on success; 1 on a failure, after a single
+``error:<category>: message`` line on stderr; 2 on a usage error (an
+unknown, abbreviated or missing option or command), after argparse's usage
+and message, which is not an ``error:`` line.
 
 ``train`` writes one model file, which for ``transit`` also holds the
 source model, and ``segment`` reads only that file.  A model file that is
@@ -18,11 +22,10 @@ not a list of known groups or an unknown mode, is refused with
 
 from __future__ import annotations
 
+import argparse
 import io
 import sys
 from pathlib import Path
-
-import click
 
 from . import adaptation, evaluation
 from .config import MODES, ConfigError, RunConfig, load_config, parse_config
@@ -46,28 +49,28 @@ _ERROR_CATEGORIES = (
 )
 
 
-def _fail(exc: Exception) -> "None":
+def _fail(exc: Exception) -> int:
     # the category of the first categorized exception along the __cause__
     # chain, so a wrapper keeps its cause's category and its own message
     cause: BaseException | None = exc
     while cause is not None:
         for exc_type, category in _ERROR_CATEGORIES:
             if isinstance(cause, exc_type):
-                click.echo(f"error:{category}: {exc}", err=True)
-                sys.exit(1)
+                print(f"error:{category}: {exc}", file=sys.stderr)
+                return 1
         cause = cause.__cause__
     raise exc
 
 
-def _load_run_config(config_path: str | None, overrides: tuple[str, ...]) -> RunConfig:
+def _load_run_config(args: argparse.Namespace) -> RunConfig:
     pairs = {}
-    for item in overrides:
+    for item in args.overrides:
         dotted, sep, value = item.partition("=")
         if not sep:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         pairs[dotted.strip()] = value
-    if config_path:
-        return load_config(config_path, pairs)
+    if args.config:
+        return load_config(args.config, pairs)
     return parse_config("", pairs)
 
 
@@ -93,87 +96,64 @@ def _load_knowledge(cfg: RunConfig, groups: tuple[str, ...]) -> tuple[KnowledgeB
     return KnowledgeBase.load(cfg.knowledge), checksum(cfg.knowledge)
 
 
-@click.group()
-def main() -> None:
-    """Word segmentation toolkit for technical Chinese text."""
-
-
-_config_option = click.option("--config", "config_path", type=click.Path(), default=None)
-_set_option = click.option(
-    "--set", "overrides", multiple=True, help="Override a config value: section.key=value"
-)
-
-
-@main.command("extract-knowledge")
-@_config_option
-@_set_option
-def cmd_extract_knowledge(config_path, overrides) -> None:
+def cmd_extract_knowledge(args: argparse.Namespace) -> None:
     """Build the POS lexicon, word dictionary, and similarity model."""
+    cfg = _load_run_config(args)
+    _require(cfg.source, "source corpus")
+    if not cfg.knowledge:
+        raise ConfigError("knowledge archive output path is not configured")
+    if cfg.source_format != "tagged":
+        raise ConfigError("knowledge extraction needs a tagged source corpus (word_TAG)")
+    tagged = read_tagged_corpus(cfg.source)
+    if not tagged:
+        raise ConfigError(f"source corpus {cfg.source!r} is empty")
     try:
-        cfg = _load_run_config(config_path, overrides)
-        _require(cfg.source, "source corpus")
-        if not cfg.knowledge:
-            raise ConfigError("knowledge archive output path is not configured")
-        if cfg.source_format != "tagged":
-            raise ConfigError("knowledge extraction needs a tagged source corpus (word_TAG)")
-        tagged = read_tagged_corpus(cfg.source)
-        if not tagged:
-            raise ConfigError(f"source corpus {cfg.source!r} is empty")
-        try:
-            kb = build_knowledge(tagged, cfg.sim_k)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        kb.save(cfg.knowledge)
-        click.echo(f"knowledge archive written to {cfg.knowledge}")
-    except Exception as exc:
-        _fail(exc)
+        kb = build_knowledge(tagged, cfg.sim_k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    kb.save(cfg.knowledge)
+    print(f"knowledge archive written to {cfg.knowledge}")
 
 
-@main.command("train")
-@_config_option
-@_set_option
-def cmd_train(config_path, overrides) -> None:
+def cmd_train(args: argparse.Namespace) -> None:
     """Extract features, build the mode's training set, and fit a model."""
-    try:
-        cfg = _load_run_config(config_path, overrides)
-        if not cfg.model:
-            raise ConfigError("model output path is not configured")
-        _require(cfg.target_train, "target training corpus")
-        target_docs = read_corpus(cfg.target_train, "segmented")
-        if not target_docs:
-            raise ConfigError(f"target training corpus {cfg.target_train!r} is empty")
-        knowledge, kb_checksum = _load_knowledge(cfg, cfg.groups)
-        source_docs = None
-        checksums = {"target_train": checksum(cfg.target_train)}
-        if cfg.mode != "target":
-            source_docs = _read_source_documents(cfg)
-            checksums["source"] = checksum(cfg.source)
-        extractor = FeatureExtractor(cfg.groups, knowledge)
-        train_config = cfg.train_config
-        instances, source_model = adaptation.build_training(
-            cfg.mode, source_docs, target_docs, extractor, train_config
-        )
-        manifest = {
-            "feature_groups": list(extractor.groups),
-            "mode": cfg.mode,
-            "knowledge_checksum": kb_checksum,
-            "corpus_checksums": checksums,
-        }
-        model = crf_train(instances, train_config, manifest)
-        model.source = source_model
-        for prefix, trained in (("", model), ("source model ", source_model)):
-            if trained is None or trained.manifest["optimizer"]["converged"]:
-                continue
-            optimizer = trained.manifest["optimizer"]
-            if optimizer["nit"] >= train_config.max_iterations:
-                reason = f"stopped at max_iterations={train_config.max_iterations} before convergence"
-            else:
-                reason = f"optimizer stopped before convergence: {optimizer['message']}"
-            click.echo(f"warning:training: {prefix}{reason}", err=True)
-        model.save(cfg.model)
-        click.echo(f"model written to {cfg.model}")
-    except Exception as exc:
-        _fail(exc)
+    cfg = _load_run_config(args)
+    if not cfg.model:
+        raise ConfigError("model output path is not configured")
+    _require(cfg.target_train, "target training corpus")
+    target_docs = read_corpus(cfg.target_train, "segmented")
+    if not target_docs:
+        raise ConfigError(f"target training corpus {cfg.target_train!r} is empty")
+    knowledge, kb_checksum = _load_knowledge(cfg, cfg.groups)
+    source_docs = None
+    checksums = {"target_train": checksum(cfg.target_train)}
+    if cfg.mode != "target":
+        source_docs = _read_source_documents(cfg)
+        checksums["source"] = checksum(cfg.source)
+    extractor = FeatureExtractor(cfg.groups, knowledge)
+    train_config = cfg.train_config
+    instances, source_model = adaptation.build_training(
+        cfg.mode, source_docs, target_docs, extractor, train_config
+    )
+    manifest = {
+        "feature_groups": list(extractor.groups),
+        "mode": cfg.mode,
+        "knowledge_checksum": kb_checksum,
+        "corpus_checksums": checksums,
+    }
+    model = crf_train(instances, train_config, manifest)
+    model.source = source_model
+    for prefix, trained in (("", model), ("source model ", source_model)):
+        if trained is None or trained.manifest["optimizer"]["converged"]:
+            continue
+        optimizer = trained.manifest["optimizer"]
+        if optimizer["nit"] >= train_config.max_iterations:
+            reason = f"stopped at max_iterations={train_config.max_iterations} before convergence"
+        else:
+            reason = f"optimizer stopped before convergence: {optimizer['message']}"
+        print(f"warning:training: {prefix}{reason}", file=sys.stderr)
+    model.save(cfg.model)
+    print(f"model written to {cfg.model}")
 
 
 def _segment_file(path: Path, model, extractor, mode) -> list[str]:
@@ -194,116 +174,133 @@ def _segment_file(path: Path, model, extractor, mode) -> list[str]:
     return [" ".join(next(non_blank)) if ln else "" for ln in lines]
 
 
-@main.command("segment")
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--knowledge", "knowledge_path", type=click.Path(), default=None)
-@_config_option
-@_set_option
-def cmd_segment(model_path, input_path, output_path, knowledge_path, config_path, overrides) -> None:
+def cmd_segment(args: argparse.Namespace) -> None:
     """Segment a raw corpus with a trained model."""
-    try:
-        model = CrfModel.load(_require(model_path, "model file"))
-        manifest = model.manifest
-        groups = manifest.get("feature_groups", ["CF"])
-        if not (isinstance(groups, list) and all(g in FEATURE_GROUPS for g in groups)):
-            raise ValueError(f"{model_path}: feature groups {groups!r} are not a list of known groups; retrain the model")
-        groups = tuple(groups)
-        mode = manifest.get("mode", "target")
-        if mode not in MODES:
-            raise ValueError(f"{model_path}: unknown adaptation mode {mode!r}; retrain the model")
-        if config_path or overrides:
-            cfg = _load_run_config(config_path, overrides)
-            if set(cfg.groups) != set(groups):
-                raise MismatchError(
-                    f"model was trained with feature groups {sorted(groups)} "
-                    f"but the config enables {sorted(cfg.groups)}"
-                )
-        knowledge = None
-        if EXTERNAL_GROUPS & set(groups):
-            if not knowledge_path:
-                raise ConfigError(f"model needs feature groups {sorted(EXTERNAL_GROUPS & set(groups))}; pass --knowledge")
-            if checksum(_require(knowledge_path, "knowledge archive")) != manifest.get("knowledge_checksum"):
-                raise MismatchError(
-                    "knowledge archive checksum does not match the one recorded at training time"
-                )
-            knowledge = KnowledgeBase.load(knowledge_path)
-        if mode == "transit" and model.source is None:
-            raise ValueError(f"{model_path} is a transit model without its source model; retrain the model")
-        extractor = FeatureExtractor(groups, knowledge)
-        _require(input_path, "input corpus")
-        out_dir = Path(output_path)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for p in corpus_files(input_path):
-            out_lines = _segment_file(p, model, extractor, mode)
-            atomic_write(out_dir / f"{p.stem}.seg", "".join(line + "\n" for line in out_lines).encode("utf-8"))
-        click.echo(f"segmented corpus written to {output_path}")
-    except Exception as exc:
-        _fail(exc)
+    model = CrfModel.load(_require(args.model, "model file"))
+    manifest = model.manifest
+    groups = manifest.get("feature_groups", ["CF"])
+    if not (isinstance(groups, list) and all(g in FEATURE_GROUPS for g in groups)):
+        raise ValueError(f"{args.model}: feature groups {groups!r} are not a list of known groups; retrain the model")
+    groups = tuple(groups)
+    mode = manifest.get("mode", "target")
+    if mode not in MODES:
+        raise ValueError(f"{args.model}: unknown adaptation mode {mode!r}; retrain the model")
+    if args.config or args.overrides:
+        cfg = _load_run_config(args)
+        if set(cfg.groups) != set(groups):
+            raise MismatchError(
+                f"model was trained with feature groups {sorted(groups)} "
+                f"but the config enables {sorted(cfg.groups)}"
+            )
+    knowledge = None
+    if EXTERNAL_GROUPS & set(groups):
+        if not args.knowledge:
+            raise ConfigError(f"model needs feature groups {sorted(EXTERNAL_GROUPS & set(groups))}; pass --knowledge")
+        if checksum(_require(args.knowledge, "knowledge archive")) != manifest.get("knowledge_checksum"):
+            raise MismatchError(
+                "knowledge archive checksum does not match the one recorded at training time"
+            )
+        knowledge = KnowledgeBase.load(args.knowledge)
+    if mode == "transit" and model.source is None:
+        raise ValueError(f"{args.model} is a transit model without its source model; retrain the model")
+    extractor = FeatureExtractor(groups, knowledge)
+    _require(args.input, "input corpus")
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for p in corpus_files(args.input):
+        out_lines = _segment_file(p, model, extractor, mode)
+        atomic_write(out_dir / f"{p.stem}.seg", "".join(line + "\n" for line in out_lines).encode("utf-8"))
+    print(f"segmented corpus written to {args.output}")
 
 
-@main.command("eval")
-@click.option("--gold", "gold_path", required=True, type=click.Path())
-@click.option("--pred", "pred_path", required=True, type=click.Path())
-@click.option("--ref-vocab", "ref_path", type=click.Path(), default=None,
-              help="Segmented corpus supplying the reference vocabulary for OOV recall")
-@click.option("--report", "report_path", type=click.Path(), default=None)
-def cmd_eval(gold_path, pred_path, ref_path, report_path) -> None:
+def cmd_eval(args: argparse.Namespace) -> None:
     """Score a predicted segmentation against gold."""
-    try:
-        gold = read_corpus(_require(gold_path, "gold corpus"), "segmented")
-        pred = read_corpus(_require(pred_path, "predicted corpus"), "segmented")
-        ref_vocab = None
-        if ref_path:
-            ref_vocab = evaluation.word_types(read_corpus(_require(ref_path, "ref-vocab corpus"), "segmented"))
-        result = evaluation.score_documents(gold, pred, ref_vocab)
-        cells = result.formatted()
-        for key in ("precision", "recall", "f1", "oov_recall"):
-            click.echo(f"{key} {cells[key]}")
-        if report_path:
-            header = "precision,recall,f1,oov_recall\n"
-            row = ",".join(cells[k] for k in ("precision", "recall", "f1", "oov_recall"))
-            atomic_write(report_path, (header + row + "\n").encode("utf-8"))
-    except Exception as exc:
-        _fail(exc)
+    gold = read_corpus(_require(args.gold, "gold corpus"), "segmented")
+    pred = read_corpus(_require(args.pred, "predicted corpus"), "segmented")
+    ref_vocab = None
+    if args.ref_vocab:
+        ref_vocab = evaluation.word_types(read_corpus(_require(args.ref_vocab, "ref-vocab corpus"), "segmented"))
+    result = evaluation.score_documents(gold, pred, ref_vocab)
+    cells = result.formatted()
+    for key in ("precision", "recall", "f1", "oov_recall"):
+        print(f"{key} {cells[key]}")
+    if args.report:
+        header = "precision,recall,f1,oov_recall\n"
+        row = ",".join(cells[k] for k in ("precision", "recall", "f1", "oov_recall"))
+        atomic_write(args.report, (header + row + "\n").encode("utf-8"))
 
 
-@main.command("curve")
-@_config_option
-@_set_option
-def cmd_curve(config_path, overrides) -> None:
+def cmd_curve(args: argparse.Namespace) -> None:
     """Run the learning-curve experiment over modes and training sizes."""
+    cfg = _load_run_config(args)
+    if not cfg.curve_sizes:
+        raise ConfigError("curve sizes are not configured")
+    if not cfg.report:
+        raise ConfigError("report output path is not configured")
+    target_docs = read_corpus(_require(cfg.target_train, "target training corpus"), "segmented")
+    dev_docs = read_corpus(_require(cfg.target_dev, "target dev corpus"), "segmented")
+    source_docs = _read_source_documents(cfg)
+    knowledge, _checksum = _load_knowledge(cfg, cfg.groups)
+    extractor = FeatureExtractor(cfg.groups, knowledge)
+    points = evaluation.run_curve(
+        source_docs,
+        target_docs,
+        dev_docs,
+        list(cfg.curve_sizes),
+        list(cfg.curve_modes),
+        extractor,
+        cfg.train_config,
+    )
+    report = io.StringIO()
+    evaluation.write_curve_report(points, report)
+    atomic_write(cfg.report, report.getvalue().encode("utf-8"))
+    plot = io.StringIO()
+    evaluation.write_plot_data(points, plot)
+    atomic_write(Path(cfg.report).with_suffix(".plot.tsv"), plot.getvalue().encode("utf-8"))
+    print(f"curve report written to {cfg.report}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser, so that a prefix such as --mod is refused
+    parser = argparse.ArgumentParser(
+        prog="patseg", description="Word segmentation toolkit for technical Chinese text.", allow_abbrev=False
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    run_config = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    run_config.add_argument("--config", metavar="PATH")
+    run_config.add_argument("--set", dest="overrides", action="append", default=[], metavar="TEXT",
+                            help="Override a config value: section.key=value")
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, parents=parents, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    command("extract-knowledge", cmd_extract_knowledge, run_config)
+    command("train", cmd_train, run_config)
+    segment = command("segment", cmd_segment, run_config)
+    for option in ("--model", "--input", "--output"):
+        segment.add_argument(option, metavar="PATH", required=True)
+    segment.add_argument("--knowledge", metavar="PATH")
+    evaluate = command("eval", cmd_eval)
+    for option in ("--gold", "--pred"):
+        evaluate.add_argument(option, metavar="PATH", required=True)
+    evaluate.add_argument("--ref-vocab", metavar="PATH",
+                          help="Segmented corpus supplying the reference vocabulary for OOV recall")
+    evaluate.add_argument("--report", metavar="PATH")
+    command("curve", cmd_curve, run_config)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit status (argparse exits 2 itself on a usage error)."""
+    args = _parser().parse_args(argv)
     try:
-        cfg = _load_run_config(config_path, overrides)
-        if not cfg.curve_sizes:
-            raise ConfigError("curve sizes are not configured")
-        if not cfg.report:
-            raise ConfigError("report output path is not configured")
-        target_docs = read_corpus(_require(cfg.target_train, "target training corpus"), "segmented")
-        dev_docs = read_corpus(_require(cfg.target_dev, "target dev corpus"), "segmented")
-        source_docs = _read_source_documents(cfg)
-        knowledge, _checksum = _load_knowledge(cfg, cfg.groups)
-        extractor = FeatureExtractor(cfg.groups, knowledge)
-        points = evaluation.run_curve(
-            source_docs,
-            target_docs,
-            dev_docs,
-            list(cfg.curve_sizes),
-            list(cfg.curve_modes),
-            extractor,
-            cfg.train_config,
-        )
-        report = io.StringIO()
-        evaluation.write_curve_report(points, report)
-        atomic_write(cfg.report, report.getvalue().encode("utf-8"))
-        plot = io.StringIO()
-        evaluation.write_plot_data(points, plot)
-        atomic_write(Path(cfg.report).with_suffix(".plot.tsv"), plot.getvalue().encode("utf-8"))
-        click.echo(f"curve report written to {cfg.report}")
+        args.run(args)
     except Exception as exc:
-        _fail(exc)
+        return _fail(exc)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -101,11 +101,19 @@ def _parse_value(attr: str, raw: str):
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse config text; ``overrides`` maps "section.key" to raw values."""
-    parser = configparser.ConfigParser()
+    # values are literal: no %-interpolation, so "%" needs no escape
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    if parser.defaults():
+        # configparser copies [DEFAULT]'s keys into every section, and reads
+        # none of them when no other section is present
+        raise ConfigError(
+            f"config section [{parser.default_section}] is not supported; "
+            f"move its keys ({', '.join(parser.defaults())}) into their sections"
+        )
     values = {}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -128,4 +136,5 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"), overrides)
+    # utf-8-sig: a byte-order mark, as some editors save one, is not text
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"), overrides)

@@ -1,15 +1,19 @@
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import pickle
 import shutil
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +27,25 @@ from patseg.pipeline import FeatureExtractor
 from _reference import as_version_2, slot_items
 
 
+def invoke(args):
+    """Run ``main(args)`` in this process with its stdout and stderr captured.
+
+    A usage error or ``--help`` ends in argparse's ``SystemExit``, whose code
+    becomes ``exit_code``; any other exception propagates to the test.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            exit_code = main(list(args))
+        except SystemExit as exc:
+            exit_code, exception = exc.code, exc
+    out, err = stdout.getvalue(), stderr.getvalue()
+    return SimpleNamespace(exit_code=exit_code, stdout=out, stderr=err, output=out + err, exception=exception)
+
+
 def run(*args):
-    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+    return invoke(args)
 
 
 def cfg_path(workspace):
@@ -69,8 +90,8 @@ class TestExtractKnowledge:
         assert (workspace / "pred" / "r1.seg").read_text(encoding="utf-8").replace(" ", "") == "干扰素\t很好\n"
 
     def test_plain_source_is_refused_naming_the_tagged_format(self, workspace):
-        result = CliRunner().invoke(
-            main, ["extract-knowledge", "--config", cfg_path(workspace), "--set", "data.source_format=plain"]
+        result = invoke(
+            ["extract-knowledge", "--config", cfg_path(workspace), "--set", "data.source_format=plain"]
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("error:config: ") and result.stderr.count("\n") == 1
@@ -78,8 +99,7 @@ class TestExtractKnowledge:
         assert not (workspace / "kb").exists()
 
     def test_oversized_k_rejected_naming_inventory(self, workspace):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["extract-knowledge", "--config", cfg_path(workspace), "--set", "knowledge.sim_k=999"],
         )
         assert result.exit_code == 1
@@ -142,13 +162,13 @@ class TestTrain:
         sim = workspace / "kb" / "sim.tsv"
         lines = sim.read_text(encoding="utf-8").splitlines(keepends=True)
         sim.write_text("".join(["100000000 100000\n", *lines[1:]]), encoding="utf-8")
-        result = CliRunner().invoke(main, ["train", "--config", cfg_path(workspace), "--set", "features.groups=CF,SIM"])
+        result = invoke(["train", "--config", cfg_path(workspace), "--set", "features.groups=CF,SIM"])
         assert result.exit_code == 1
         assert result.stderr.startswith(f"error:parse: {sim}:2:"), result.stderr
 
     def test_untrainable_settings_are_config_errors(self, workspace):
         for setting in ("train.l2=-1", "train.l2=nan", "train.tolerance=nan", "train.feature_cutoff=0"):
-            result = CliRunner().invoke(main, ["train", "--config", cfg_path(workspace), "--set", setting])
+            result = invoke(["train", "--config", cfg_path(workspace), "--set", setting])
             assert result.exit_code == 1, setting
             key = setting.split(".")[1].split("=")[0]
             assert result.stderr.startswith(f"error:config: {key} must be"), result.stderr
@@ -208,9 +228,21 @@ class TestTrain:
             assert result.exit_code == 0, result.output
         assert (other / "out" / "model.crf").read_bytes() == (workspace / "out" / "model.crf").read_bytes()
 
+    def test_percent_signs_in_config_values_are_literal(self, workspace):
+        """A "%" starts no interpolation: a "100%" directory and a "%(x)s"
+        file name are used as written."""
+        train = workspace / "100%" / "train"
+        shutil.copytree(workspace / "train", train)
+        model = workspace / "out" / "%(x)s.crf"
+        config = workspace / "percent.cfg"
+        config.write_text(f"[data]\ntarget_train = {train}\n\n[output]\nmodel = {model}\n", encoding="utf-8")
+        result = run("train", "--config", str(config))
+        assert result.exit_code == 0, result.output
+        assert result.stdout == f"model written to {model}\n"
+        assert CrfModel.load(model).manifest["corpus_checksums"]["target_train"] == corpus.checksum(str(train))
+
     def test_missing_source_named_explicitly(self, workspace):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             [
                 "train",
                 "--config",
@@ -260,7 +292,7 @@ class TestSegment:
 
         monkeypatch.setattr(corpus.os, "replace", fail)
         for out in ("pred", "fresh"):
-            result = CliRunner().invoke(main, [*args, "--output", str(workspace / out)])
+            result = invoke([*args, "--output", str(workspace / out)])
             assert result.exit_code == 1 and result.stderr.startswith("error:io: ")
         assert [p.name for p in (workspace / "pred").iterdir()] == ["r1.seg"]
         assert (workspace / "pred" / "r1.seg").read_bytes() == before
@@ -331,7 +363,7 @@ class TestSegment:
         assert [ln.replace(" ", "") for ln in out] == raw_lines + [""]
 
         (raw / "b.txt").write_text("地板好\nab cd专利\n", encoding="utf-8")
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ")
         assert f"{raw / 'b.txt'}:2:" in result.stderr and "U+0020" in result.stderr
@@ -374,8 +406,7 @@ class TestSegment:
     def test_two_files_with_one_document_id_are_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))
         (workspace / "raw" / "r1.md").write_text("地板好\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
              "--output", str(workspace / "pred")],
         )
@@ -393,9 +424,9 @@ class TestSegment:
         data = model.read_bytes()
         damaged = {"truncated": data[: len(data) // 2], "empty": b"", "list": pickle.dumps([1, 2])}
         model.write_bytes(damaged[damage] if damage in damaged else as_version_2(data))
-        result = CliRunner().invoke(
-            main, ["segment", "--model", str(model), "--input", str(workspace / "raw"),
-                   "--output", str(workspace / "pred")],
+        result = invoke(
+            ["segment", "--model", str(model), "--input", str(workspace / "raw"),
+             "--output", str(workspace / "pred")],
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ") and str(model) in result.stderr
@@ -403,9 +434,9 @@ class TestSegment:
 
     def test_pickled_model_is_refused_without_running_it(self, workspace, pickled_model):
         model, marker = pickled_model
-        result = CliRunner().invoke(
-            main, ["segment", "--model", str(model), "--input", str(workspace / "raw"),
-                   "--output", str(workspace / "pred")],
+        result = invoke(
+            ["segment", "--model", str(model), "--input", str(workspace / "raw"),
+             "--output", str(workspace / "pred")],
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ") and str(model) in result.stderr
@@ -421,7 +452,7 @@ class TestSegment:
         model = CrfModel.load(model_path)
         model.source = None
         model.save(model_path)
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
         assert result.stderr.startswith("error:invalid: ") and str(model_path) in result.stderr
 
@@ -438,9 +469,9 @@ class TestSegment:
         model = CrfModel.load(model_path)
         model.manifest[field] = value
         model.save(model_path)
-        result = CliRunner().invoke(
-            main, ["segment", "--model", str(model_path), "--input", str(workspace / "raw"),
-                   "--output", str(workspace / "pred")],
+        result = invoke(
+            ["segment", "--model", str(model_path), "--input", str(workspace / "raw"),
+             "--output", str(workspace / "pred")],
         )
         assert result.exit_code == 1, result.exception
         assert result.stderr.startswith("error:invalid: ") and str(model_path) in result.stderr
@@ -448,8 +479,7 @@ class TestSegment:
 
     def test_feature_group_mismatch_refused(self, workspace):
         run("train", "--config", cfg_path(workspace))
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             [
                 "segment",
                 "--model",
@@ -476,8 +506,7 @@ class TestSegment:
         )
         # corrupt the archive after training
         (workspace / "kb" / "dict.txt").write_text("тампер\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             [
                 "segment",
                 "--model",
@@ -549,8 +578,7 @@ class TestEval:
         bad = workspace / "bad"
         bad.mkdir()
         (bad / "t1.seg").write_text("干扰 素很 好\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             ["eval", "--gold", str(workspace / "train"), "--pred", str(bad)],
         )
         assert result.exit_code == 1
@@ -562,7 +590,7 @@ class TestEval:
         pred.mkdir()
         for name in ("t1.seg", "t1.txt", "t2.seg"):
             (pred / name).write_bytes((workspace / "train" / name.replace(".txt", ".seg")).read_bytes())
-        result = CliRunner().invoke(main, ["eval", "--gold", str(workspace / "train"), "--pred", str(pred)])
+        result = invoke(["eval", "--gold", str(workspace / "train"), "--pred", str(pred)])
         assert result.exit_code == 1
         assert "error:invalid:" in result.stderr
         assert "t1.seg" in result.stderr and "t1.txt" in result.stderr
@@ -576,7 +604,7 @@ class TestImports:
         code = (
             "import json, sys\n"
             "from patseg.cli import main\n"
-            f"main({list(args)!r}, standalone_mode=False)\n"
+            f"main({list(args)!r})\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -627,8 +655,7 @@ class TestCurve:
         assert len(plot) == 3
 
     def test_no_partial_report_on_failure(self, workspace):
-        result = CliRunner().invoke(
-            main,
+        result = invoke(
             [
                 "curve",
                 "--config",
@@ -646,8 +673,8 @@ class TestCurve:
         for path in (workspace / "source").iterdir():
             path.unlink()
         (workspace / "source" / "s1.pos").write_text("\n", encoding="utf-8")
-        result = CliRunner().invoke(
-            main, ["curve", "--config", cfg_path(workspace), "--set", "curve.modes=all", "--set", "curve.sizes=1"],
+        result = invoke(
+            ["curve", "--config", cfg_path(workspace), "--set", "curve.modes=all", "--set", "curve.sizes=1"],
         )
         assert result.exit_code == 1, result.exception
         assert result.stderr.startswith("error:config: ") and result.stderr.count("\n") == 1
@@ -656,11 +683,79 @@ class TestCurve:
 
 class TestConfigErrors:
     def test_bad_override_format(self, workspace):
-        result = CliRunner().invoke(
-            main, ["train", "--config", cfg_path(workspace), "--set", "nonsense"]
+        result = invoke(
+            ["train", "--config", cfg_path(workspace), "--set", "nonsense"]
         )
         assert result.exit_code == 1
         assert "error:config:" in result.stderr
+
+
+class TestEntryPoint:
+    """``python -m patseg.cli`` in a fresh process, as the benchmark runs it."""
+
+    @staticmethod
+    def python(*args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True)
+
+    def cli(self, *args):
+        return self.python("-m", "patseg.cli", *args)
+
+    def test_eval_prints_its_four_lines(self, workspace):
+        proc = self.cli("eval", "--gold", workspace / "train", "--pred", workspace / "train")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["precision 100.00", "recall 100.00", "f1 100.00", "oov_recall n/a"]
+        assert proc.stderr == ""
+
+    def test_a_missing_model_is_one_io_error_line(self, workspace):
+        model = workspace / "out" / "missing.crf"
+        proc = self.cli("segment", "--model", model, "--input", workspace / "raw", "--output", workspace / "pred")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error:io: model file {str(model)!r} does not exist\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--gold", "g", "--pred", "p", "--bogus", "x"],
+        ["segment", "--mod", "m.crf", "--input", "raw", "--output", "pred"],
+        ["eval", "--gold", "g", "--pred", "p", "--ref", "r"],
+        ["segment", "--model", "m.crf", "--input", "raw"],
+        ["bogus"],
+        [],
+    ])
+    def test_usage_errors_exit_2_without_an_error_line(self, args):
+        """An unknown, abbreviated or missing option or command is argparse's
+        usage error, not a categorized failure."""
+        proc = self.cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: patseg") and "\nerror:" not in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_segment_imports_only_the_declared_dependencies(self, workspace):
+        """Beyond the standard library and what interpreter start-up loads,
+        ``segment`` imports only patseg, numpy and scipy."""
+        assert run("train", "--config", cfg_path(workspace)).exit_code == 0
+        segment = ["-m", "patseg.cli", "segment", "--model", workspace / "out" / "model.crf",
+                   "--input", workspace / "raw", "--output", workspace / "pred"]
+        imported = []
+        for args in (["-c", "pass"], segment):
+            proc = self.python("-X", "importtime", *args)
+            assert proc.returncode == 0, proc.stderr
+            imported.append({ln.rsplit("|", 1)[1].strip().split(".")[0]
+                             for ln in proc.stderr.splitlines() if ln.startswith("import time:")})
+        paths = sysconfig.get_paths()
+        stdlib = Path(paths["stdlib"]).resolve()
+        site_packages = {Path(paths["purelib"]).resolve(), Path(paths["platlib"]).resolve()}
+        outside = set()
+        for name in imported[1] - imported[0]:
+            spec = importlib.util.find_spec(name) if name.isidentifier() else None
+            if spec is None or name in sys.stdlib_module_names:
+                continue  # an import that failed, such as pickle's probe for Jython, or a built-in
+            parents = set(Path(spec.origin or next(iter(spec.submodule_search_locations))).resolve().parents)
+            if stdlib not in parents or site_packages & parents:
+                outside.add(name)
+        assert "patseg" in outside and outside <= {"patseg", "numpy", "scipy"}
+        assert (workspace / "pred" / "r1.seg").exists()
 
 
 class TestInputNotUtf8:
@@ -675,7 +770,7 @@ class TestInputNotUtf8:
 
     @staticmethod
     def assert_parse_error(args, path, lineno):
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
         assert f"error:parse: {path}:{lineno}: not UTF-8" in result.stderr
 

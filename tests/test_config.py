@@ -83,11 +83,32 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("", {"train.warmup": "1"})
 
+    def test_percent_signs_are_literal(self):
+        cfg = parse_config("[data]\nsource = /tmp/100%/src\ntarget_train = %(x)s\ntarget_dev = 50%%\n")
+        assert (cfg.source, cfg.target_train, cfg.target_dev) == ("/tmp/100%/src", "%(x)s", "50%%")
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nmode = transit\n",
+        "[DEFAULT]\nmode = transit\n\n[train]\nl2 = 0.5\n",
+    ])
+    def test_default_section_with_keys_is_refused(self, text):
+        """Its keys would otherwise be dropped, or copied into every section."""
+        with pytest.raises(ConfigError, match=r"^config section \[DEFAULT\] .* \(mode\)"):
+            parse_config(text)
+
+    def test_empty_default_section_is_accepted(self):
+        assert parse_config("[DEFAULT]\n\n[train]\nmode = easy\n").mode == "easy"
+
 
 class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(SAMPLE, encoding="utf-8")
+        assert load_config(path) == parse_config(SAMPLE)
+
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + SAMPLE.encode("utf-8"))
         assert load_config(path) == parse_config(SAMPLE)
 
 
