@@ -18,21 +18,45 @@ source model, and ``segment`` reads only that file.  A model file that is
 damaged or not a model, or whose manifest gives feature groups that are
 not a list of known groups or an unknown mode, is refused with
 ``error:invalid:``.
+
+A process pays only for the command it runs.  At module level this
+module loads :mod:`~patseg.config`, :mod:`~patseg.corpus` and
+:mod:`~patseg.external_features`, which is all ``extract-knowledge``
+needs; ``train``, ``segment``, ``eval`` and ``curve`` import the CRF, the
+feature pipeline, the adaptation modes and the scorer when they run.  So
+``extract-knowledge`` loads no ``scipy``, and no command but ``train``
+and ``curve`` loads ``scipy.optimize`` or ``scipy.sparse``.
+
+A process started as ``patseg`` or ``python -m patseg.cli`` runs
+:func:`console_main`: :func:`main`, then ``gc.freeze()`` and exit.  The
+freeze spares the process the collection the interpreter otherwise runs
+at exit over every object the imports made, which takes longest in a
+process that loaded ``scipy.optimize``.  Output files are already closed
+by then, and standard streams are still flushed.  :func:`main` itself
+never freezes, because a caller that runs it in process, such as a test,
+goes on collecting afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 from pathlib import Path
 
-from . import adaptation, evaluation
-from .config import MODES, ConfigError, RunConfig, load_config, parse_config
+from .config import (
+    EXTERNAL_GROUPS,
+    FEATURE_GROUPS,
+    MODES,
+    ConfigError,
+    RunConfig,
+    TrainingError,
+    load_config,
+    parse_config,
+)
 from .corpus import Document, ParseError, atomic_write, checksum, corpus_files, read_corpus, read_lines
-from .crf import CrfModel, TrainingError, train as crf_train
 from .external_features import KnowledgeBase, build_knowledge, read_tagged_corpus
-from .pipeline import EXTERNAL_GROUPS, FEATURE_GROUPS, FeatureExtractor
 
 
 class MismatchError(RuntimeError):
@@ -117,6 +141,10 @@ def cmd_extract_knowledge(args: argparse.Namespace) -> None:
 
 def cmd_train(args: argparse.Namespace) -> None:
     """Extract features, build the mode's training set, and fit a model."""
+    from . import adaptation
+    from .crf import train as crf_train
+    from .pipeline import FeatureExtractor
+
     cfg = _load_run_config(args)
     if not cfg.model:
         raise ConfigError("model output path is not configured")
@@ -157,6 +185,8 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 
 def _segment_file(path: Path, model, extractor, mode) -> list[str]:
+    from . import adaptation
+
     # blank lines are skipped by the decoder but preserved in the output
     lines = read_lines(path)
     for lineno, line in enumerate(lines, start=1):
@@ -176,6 +206,9 @@ def _segment_file(path: Path, model, extractor, mode) -> list[str]:
 
 def cmd_segment(args: argparse.Namespace) -> None:
     """Segment a raw corpus with a trained model."""
+    from .crf import CrfModel
+    from .pipeline import FeatureExtractor
+
     model = CrfModel.load(_require(args.model, "model file"))
     manifest = model.manifest
     groups = manifest.get("feature_groups", ["CF"])
@@ -215,6 +248,8 @@ def cmd_segment(args: argparse.Namespace) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     """Score a predicted segmentation against gold."""
+    from . import evaluation
+
     gold = read_corpus(_require(args.gold, "gold corpus"), "segmented")
     pred = read_corpus(_require(args.pred, "predicted corpus"), "segmented")
     ref_vocab = None
@@ -232,6 +267,9 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_curve(args: argparse.Namespace) -> None:
     """Run the learning-curve experiment over modes and training sizes."""
+    from . import evaluation
+    from .pipeline import FeatureExtractor
+
     cfg = _load_run_config(args)
     if not cfg.curve_sizes:
         raise ConfigError("curve sizes are not configured")
@@ -302,5 +340,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console_main() -> None:
+    """The process entry point: run :func:`main` on ``sys.argv``, then exit
+    with its status, skipping the exit-time collection (module docstring)."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

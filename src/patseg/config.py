@@ -1,16 +1,26 @@
 """Run configuration: a flat key-value file with one section per concern.
 
 CLI flags override file values.
+
+The settings of every layer live here, below all of them: the feature
+groups, the training regimes and the CRF's :class:`TrainConfig`.  This
+module imports nothing of the package but the line reader, so a command
+can read its configuration without loading the CRF.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
-from .crf import TrainConfig
-from .pipeline import normalize_groups
+from .corpus import read_lines
+
+FEATURE_GROUPS = ("CF", "LNG", "PKL", "PMI", "C_POS", "DICT", "SIM")
+# the groups read from a knowledge archive
+EXTERNAL_GROUPS = frozenset({"C_POS", "DICT", "SIM"})
 
 # Training regimes; see the adaptation module.
 MODES = ("target", "all", "transit", "easy")
@@ -18,6 +28,41 @@ MODES = ("target", "all", "transit", "easy")
 
 class ConfigError(ValueError):
     """The configuration, an override, or a mode's inputs are invalid."""
+
+
+class TrainingError(RuntimeError):
+    """Training produced a non-finite objective or was misconfigured
+    (raised by :mod:`patseg.crf`)."""
+
+
+def normalize_groups(groups: Iterable[str]) -> tuple[str, ...]:
+    """Validate group names and force the CF baseline on, spec order."""
+    requested = set(groups)
+    unknown = requested - set(FEATURE_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+    requested.add("CF")
+    return tuple(g for g in FEATURE_GROUPS if g in requested)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The CRF's training settings; see :func:`patseg.crf.train`."""
+
+    l2: float = 0.1
+    max_iterations: int = 300
+    tolerance: float = 1e-6
+    feature_cutoff: int = 1
+
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        for key in ("l2", "tolerance"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
+        if self.feature_cutoff < 1:
+            raise ValueError("feature_cutoff must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,5 +181,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
-    # utf-8-sig: a byte-order mark, as some editors save one, is not text
-    return parse_config(Path(path).read_text(encoding="utf-8-sig"), overrides)
+    """Parse a config file; bytes that are not UTF-8 raise
+    :class:`~patseg.corpus.ParseError` naming the file and line."""
+    # a byte-order mark, as some editors save one, is not text
+    text = "\n".join(read_lines(path)).removeprefix("\ufeff")
+    return parse_config(text, overrides)

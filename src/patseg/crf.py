@@ -27,7 +27,10 @@ with exact gradients from forward-backward.  The optimizer is
 :mod:`patseg.lbfgs`, a numpy L-BFGS that takes L-BFGS-B's path without
 bounds (Liu and Nocedal 1989; Sha and Pereira 2003 for CRFs), with
 deterministic behavior: identical data and config reproduce
-bit-identical weights.
+bit-identical weights.  The settings, :class:`~patseg.config.TrainConfig`,
+and :class:`~patseg.config.TrainingError` live in :mod:`patseg.config`,
+so that a command reads its configuration without loading this module;
+both names are imported here too.
 
 Training and decoding share one core, :class:`PackedBatch`: a batch of
 sequences whose rows are the positions in input order, sequence after
@@ -101,6 +104,7 @@ import numpy as np
 import scipy
 
 from . import lbfgs
+from .config import TrainConfig, TrainingError
 from .corpus import LABELS, atomic_write
 
 N_LABELS = len(LABELS)
@@ -109,28 +113,6 @@ _LABEL_NAMES = np.array(LABELS, dtype=object)
 
 _FORMAT = "patseg-crf"
 _FORMAT_VERSION = 3
-
-
-class TrainingError(RuntimeError):
-    """Training produced a non-finite objective or was misconfigured."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    l2: float = 0.1
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    feature_cutoff: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for key in ("l2", "tolerance"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{key} must be a finite number >= 0, got {value!r}")
-        if self.feature_cutoff < 1:
-            raise ValueError("feature_cutoff must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,7 +563,9 @@ class PackedBatch:
         labels) and the expected transition counts summed over the batch
         (labels x labels).
         """
-        shift = e.max(axis=1)
+        # the row max as column operations: exact, like e.max(axis=1), and
+        # far faster on an array four columns wide
+        shift = np.maximum(np.maximum(e[:, 0], e[:, 1]), np.maximum(e[:, 2], e[:, 3]))
         emit = np.exp(e - shift[:, None])
         t_shift = w_t.max()
         trans = np.exp(w_t - t_shift)

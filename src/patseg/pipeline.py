@@ -26,18 +26,15 @@ tables.  A training instance holds the columns of a whole document.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from . import doc_features, external_features
 from .char_features import CF_TEMPLATE_IDS, cf_columns
+from .config import EXTERNAL_GROUPS, FEATURE_GROUPS, normalize_groups  # noqa: F401  (FEATURE_GROUPS re-exported)
 from .corpus import Document, DocumentCodes
 from .crf import FeatureColumns
 from .external_features import KnowledgeBase
-
-FEATURE_GROUPS = ("CF", "LNG", "PKL", "PMI", "C_POS", "DICT", "SIM")
-EXTERNAL_GROUPS = frozenset({"C_POS", "DICT", "SIM"})
 
 # Templates each group adds after CF, in column order.
 _GROUP_TEMPLATES = {
@@ -48,16 +45,6 @@ _GROUP_TEMPLATES = {
     "DICT": ("DICT",),
     "SIM": tuple(f"SIM[{off:+d}]" for off in external_features.SIM_OFFSETS),
 }
-
-
-def normalize_groups(groups: Iterable[str]) -> tuple[str, ...]:
-    """Validate group names and force the CF baseline on, spec order."""
-    requested = set(groups)
-    unknown = requested - set(FEATURE_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown feature groups: {sorted(unknown)}")
-    requested.add("CF")
-    return tuple(g for g in FEATURE_GROUPS if g in requested)
 
 
 @dataclass(frozen=True)

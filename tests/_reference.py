@@ -20,6 +20,9 @@ their bins.
 :func:`pairwise_cooccurrence` counts character co-occurrences pair by
 pair over each sentence's distinct characters, the oracle of the
 matrix product in :func:`~patseg.external_features.cooccurrence_matrix`.
+:func:`svd_similarity` factors the PPMI matrix by a rank-k SVD, the
+oracle of the eigendecomposition in
+:func:`~patseg.external_features.build_similarity`.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 
 from patseg.corpus import LABELS, Document
 from patseg.crf import FeatureColumns, FeatureRegistry, PackedBatch, TrainingInstance
+from patseg.external_features import SimilarityModel, cooccurrence_matrix, ppmi
 
 Row = list[tuple[str, str]]
 
@@ -211,6 +215,13 @@ def pairwise_cooccurrence(sentences: Sequence[str]) -> tuple[list[str], np.ndarr
                 m[index[x], index[y]] += cx * cy
                 m[index[y], index[x]] += cx * cy
     return vocab, m
+
+
+def svd_similarity(sentences: Sequence[str], k: int) -> SimilarityModel:
+    """Co-occurrence -> PPMI -> rank-k SVD, rows U_k Sigma_k."""
+    vocab, m = cooccurrence_matrix(list(sentences))
+    u, s, _ = np.linalg.svd(ppmi(m), full_matrices=False)
+    return SimilarityModel(vocab, u[:, :k] * s[:k])
 
 
 def levelwise_lng(doc: Document) -> set[str]:

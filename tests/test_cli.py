@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patseg import adaptation, corpus, crf
+from patseg import adaptation, cli, corpus, crf
 from patseg.cli import main
 from patseg.corpus import read_corpus
 from patseg.crf import CrfModel, TrainConfig
@@ -598,14 +599,15 @@ class TestEval:
 
 class TestImports:
     """Decoding and knowledge extraction never load the optimizer or the
-    sparse matrices, which only training uses."""
+    sparse matrices, which only training uses; knowledge extraction loads
+    neither the CRF nor scipy at all."""
 
     def modules_after(self, *args):
         code = (
             "import json, sys\n"
             "from patseg.cli import main\n"
             f"main({list(args)!r})\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'patseg'))))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -625,6 +627,12 @@ class TestImports:
             loaded = self.modules_after(*args)
             assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded, args[0]
         assert (workspace / "pred" / "r1.seg").exists()
+
+    def test_extract_knowledge_loads_neither_the_crf_nor_scipy(self, workspace):
+        loaded = self.modules_after("extract-knowledge", "--config", cfg_path(workspace))
+        assert (workspace / "kb" / "sim.tsv").exists()
+        assert not loaded & {"patseg.crf", "patseg.pipeline", "patseg.adaptation"}, sorted(loaded)
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
     def test_train_loads_the_optimizer(self, workspace):
         loaded = self.modules_after("train", "--config", cfg_path(workspace))
@@ -715,6 +723,24 @@ class TestEntryPoint:
         assert proc.stderr == f"error:io: model file {str(model)!r} does not exist\n"
         assert proc.stdout == ""
 
+    def test_main_in_process_never_freezes(self, workspace):
+        frozen = gc.get_freeze_count()
+        assert run("extract-knowledge", "--config", cfg_path(workspace)).exit_code == 0
+        assert run("eval", "--gold", str(workspace / "train"), "--pred", str(workspace / "missing")).exit_code == 1
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_main_freezes_before_it_exits_with_the_status(self, workspace, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        for pred, status in (("train", 0), ("missing", 1)):
+            monkeypatch.setattr(sys, "argv", ["patseg", "eval", "--gold", str(workspace / "train"),
+                                              "--pred", str(workspace / pred)])
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                with pytest.raises(SystemExit) as exited:
+                    cli.console_main()
+            assert exited.value.code == status
+        assert calls == ["freeze", "freeze"]
+
     @pytest.mark.parametrize("args", [
         ["eval", "--gold", "g", "--pred", "p", "--bogus", "x"],
         ["segment", "--mod", "m.crf", "--input", "raw", "--output", "pred"],
@@ -758,6 +784,76 @@ class TestEntryPoint:
         assert (workspace / "pred" / "r1.seg").exists()
 
 
+def _insert_in_line(data: bytes, lineno: int, text: str, middle: bool) -> bytes:
+    lines = data.decode("utf-8").split("\n")
+    line = lines[lineno - 1]
+    at = len(line) // 2 if middle else 0
+    lines[lineno - 1] = line[:at] + text + line[at:]
+    return "\n".join(lines).encode("utf-8")
+
+
+def _repeat_line(data: bytes, lineno: int) -> bytes:
+    lines = data.split(b"\n")
+    return b"\n".join(lines[:lineno] + lines[lineno - 1 :])
+
+
+def _shift_row_count(data: bytes, by: int) -> bytes:
+    header, rest = data.split(b"\n", 1)
+    rows, dimension = header.split()
+    return b"%d %s\n" % (int(rows) + by, dimension) + rest
+
+
+def _change_byte(data: bytes, at: float, value: bytes) -> bytes:
+    k = int(len(data) * at)
+    return data[:k] + value + data[k + 1 :]
+
+
+_ARCHIVE_DAMAGE = {
+    "truncated to half": lambda d: d[: len(d) // 2],
+    "the last three bytes cut": lambda d: d[:-3],
+    "truncated inside a character": lambda d: d[: d.index(b"\t") - 1],
+    "a byte made 0xff": lambda d: _change_byte(d, 0.5, b"\xff"),
+    "a byte made x": lambda d: _change_byte(d, 0.6, b"x"),
+    "a byte made a space": lambda d: _change_byte(d, 0.7, b" "),
+    "a tab at a line start": lambda d: _insert_in_line(d, 2, "\t", middle=False),
+    "a tab inside a line": lambda d: _insert_in_line(d, 2, "\t", middle=True),
+    "a CR at a line start": lambda d: _insert_in_line(d, 2, "\r", middle=False),
+    "a CR inside a line": lambda d: _insert_in_line(d, 2, "\r", middle=True),
+    "U+2028 at a line start": lambda d: _insert_in_line(d, 2, "\u2028", middle=False),
+    "U+2028 inside a line": lambda d: _insert_in_line(d, 2, "\u2028", middle=True),
+    "a row repeated": lambda d: _repeat_line(d, 2),
+    "the last row repeated": lambda d: d + d[d.rindex(b"\n", 0, -1) + 1 :],
+}
+_SIM_HEADER_DAMAGE = {
+    "one row more in the header": lambda d: _shift_row_count(d, 1),
+    "one row less in the header": lambda d: _shift_row_count(d, -1),
+}
+
+
+class TestDamagedArchiveThroughTrain:
+    """``train`` records the knowledge archive's checksum without comparing
+    it, so a damaged archive reaches the archive parser.  Every damage
+    trains, or is one ``error:`` line; none is a traceback."""
+
+    @pytest.mark.parametrize("name, damage", [
+        *((name, damage) for name in ("cpos.tsv", "sim.tsv") for damage in _ARCHIVE_DAMAGE),
+        *(("sim.tsv", damage) for damage in _SIM_HEADER_DAMAGE),
+    ])
+    def test_trains_or_prints_one_error_line(self, workspace, name, damage):
+        assert run("extract-knowledge", "--config", cfg_path(workspace)).exit_code == 0
+        path = workspace / "kb" / name
+        before = path.read_bytes()
+        path.write_bytes({**_ARCHIVE_DAMAGE, **_SIM_HEADER_DAMAGE}[damage](before))
+        assert path.read_bytes() != before
+        result = invoke(["train", "--config", cfg_path(workspace), "--set", "features.groups=CF,C_POS,SIM",
+                         "--set", "train.max_iterations=5"])
+        if result.exit_code == 0:
+            assert "error:" not in result.stderr
+        else:
+            assert result.exit_code == 1
+            assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1, result.stderr
+
+
 class TestInputNotUtf8:
     """Bytes that are not UTF-8 in any file a command reads are a parse
     error naming the file and line."""
@@ -773,6 +869,12 @@ class TestInputNotUtf8:
         result = invoke(args)
         assert result.exit_code == 1
         assert f"error:parse: {path}:{lineno}: not UTF-8" in result.stderr
+
+    def test_a_config_file_names_itself(self, workspace):
+        bad = workspace / "run.cfg"
+        self.spoil(bad, 2)
+        result = invoke(["train", "--config", str(bad)])
+        assert result.stderr.startswith(f"error:parse: {bad}:2: not UTF-8 (") and result.stderr.count("\n") == 1
 
     def test_extract_knowledge_names_the_source_file(self, workspace):
         bad = workspace / "source" / "s1.pos"

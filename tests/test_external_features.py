@@ -27,7 +27,7 @@ from patseg.external_features import (
     similarity_codes,
 )
 
-from _reference import pairwise_cooccurrence
+from _reference import pairwise_cooccurrence, svd_similarity
 
 
 def tagged_corpus(tmp_path, lines, name="s1.pos"):
@@ -202,6 +202,29 @@ class TestSimilarityModel:
                 assert -1.0 <= model.similarity(a, b) <= 1.0
 
 
+class TestSimilaritySolver:
+    """The eigendecomposition gives the cosines of the rank-k SVD, the
+    oracle in ``_reference``."""
+
+    def test_cosines_equal_the_svd_path(self):
+        rng = np.random.default_rng(31)
+        alphabet = list("abcdefghijklmnopqrstuvwxyz地板很好大肠杆菌")
+        sentences = ["".join(rng.choice(alphabet, size=int(rng.integers(2, 25)))) for _ in range(120)]
+        vocab, m = cooccurrence_matrix(sentences)
+        eigenvalues = np.linalg.eigvalsh(ppmi(m))
+        by_size = eigenvalues[np.argsort(-np.abs(eigenvalues), kind="stable")]
+        # the smallest k whose top k by |eigenvalue| hold a negative one
+        with_negative = int(np.flatnonzero(by_size < 0)[0]) + 1
+        n = len(vocab)
+        assert 1 < with_negative < n
+        rows = np.arange(n)
+        a, b = np.repeat(rows, n), np.tile(rows, n)
+        for k in (1, with_negative, 10, n):
+            got = build_similarity(sentences, k).cosines(a, b)
+            want = svd_similarity(sentences, k).cosines(a, b)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"k={k}")
+
+
 class TestSimilarityBatch:
     """The gate for discretizing many pairs at once: the batch bins equal
     the per-pair ones on every pair of a test knowledge base."""
@@ -321,6 +344,15 @@ class TestKnowledgeArchive:
         np.testing.assert_allclose(
             loaded.similarity.vectors, kb.similarity.vectors, rtol=1e-8, atol=1e-12
         )
+
+    def test_sim_rows_are_the_bytes_of_a_format_per_cell(self, tmp_path):
+        vectors = np.array([[-0.0, 5e-324, 1.7e308], [0.1, -2.5e-7, 1 / 3], [0.0, -1.7e308, -5e-324]])
+        vocab = ["x", "\t", "\u2028"]
+        with np.errstate(over="ignore"):  # the norms of these rows overflow
+            model = SimilarityModel(vocab, vectors)
+        KnowledgeBase({}, set(), model).save(tmp_path / "kb")
+        rows = "".join(f"{c}\t" + " ".join(f"{x:.9g}" for x in row) + "\n" for c, row in zip(vocab, vectors))
+        assert (tmp_path / "kb" / "sim.tsv").read_bytes() == ("3 3\n" + rows).encode("utf-8")
 
     def test_malformed_lines_are_parse_errors_naming_file_and_line(self, tmp_path):
         self.make_kb().save(tmp_path / "kb")
