@@ -22,10 +22,12 @@ not a list of known groups or an unknown mode, is refused with
 A process pays only for the command it runs.  At module level this
 module loads :mod:`~patseg.config`, :mod:`~patseg.corpus` and
 :mod:`~patseg.external_features`, which is all ``extract-knowledge``
-needs; ``train``, ``segment``, ``eval`` and ``curve`` import the CRF, the
-feature pipeline, the adaptation modes and the scorer when they run.  So
-``extract-knowledge`` loads no ``scipy``, and no command but ``train``
-and ``curve`` loads ``scipy.optimize`` or ``scipy.sparse``.
+needs.  ``train``, ``segment`` and ``curve`` import the CRF, the feature
+pipeline and the adaptation modes when they run, and ``eval`` imports
+only the scorer.  So ``extract-knowledge`` and ``eval`` load neither the
+CRF nor any ``scipy`` module; ``segment`` loads the bare ``scipy``
+package through the CRF; only ``train`` and ``curve`` load
+``scipy.optimize`` and ``scipy.sparse``.
 
 A process started as ``patseg`` or ``python -m patseg.cli`` runs
 :func:`console_main`: :func:`main`, then ``gc.freeze()`` and exit.  The

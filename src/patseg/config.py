@@ -73,10 +73,10 @@ class RunConfig:
     source_format: str = "tagged"  # tagged (word_TAG tokens) or plain
     groups: tuple[str, ...] = ("CF",)
     mode: str = "target"
-    l2: float = 0.1
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    feature_cutoff: int = 1
+    l2: float = TrainConfig.l2
+    max_iterations: int = TrainConfig.max_iterations
+    tolerance: float = TrainConfig.tolerance
+    feature_cutoff: int = TrainConfig.feature_cutoff
     sim_k: int = 50
     curve_sizes: tuple[int, ...] = ()
     curve_modes: tuple[str, ...] = ("target",)

@@ -6,18 +6,23 @@ word span.  Metrics are micro-averaged over all evaluation sentences.
 OOV recall is measured against a reference vocabulary, normally the word
 types of the source training corpus, and is undefined when the
 evaluation data has no OOV words at all.
+
+Scoring imports nothing of the CRF, so ``patseg eval`` loads neither the
+CRF nor scipy; :func:`run_curve` loads the training modes and the CRF
+when it is called.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import adaptation
+from .config import TrainConfig
 from .corpus import Document
-from .crf import TrainConfig, train
-from .pipeline import FeatureExtractor
+
+if TYPE_CHECKING:
+    from .pipeline import FeatureExtractor
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,9 @@ def run_curve(
     types.  Points come back sorted by (mode, size); any failed training
     aborts the run naming the failing cell.
     """
+    from . import adaptation
+    from .crf import train
+
     ref_vocab = word_types(source_docs)
     subsets = adaptation.slice_target(target_docs, sorted(sizes))
     by_size = dict(zip(sorted(sizes), subsets))

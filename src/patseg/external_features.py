@@ -218,11 +218,17 @@ def build_similarity(sentences: list[str], k: int) -> SimilarityModel:
     """
     if k < 1:
         raise ValueError("dimension k must be >= 1")
-    vocab, m = cooccurrence_matrix(sentences)
-    n = len(vocab)
-    if k > n:
-        raise ValueError(f"dimension k={k} exceeds character inventory n={n}")
-    eigenvalues, eigenvectors = np.linalg.eigh(ppmi(m))
+    try:
+        vocab, m = cooccurrence_matrix(sentences)
+        if k > len(vocab):
+            raise ValueError(f"dimension k={k} exceeds character inventory n={len(vocab)}")
+        eigenvalues, eigenvectors = np.linalg.eigh(ppmi(m))
+    except MemoryError as exc:
+        n = len(set("".join(sentences)))
+        raise ValueError(
+            f"the similarity model of {n} distinct characters needs {n} x {n} matrices "
+            f"of {n * n * 8 / 2**20:,.1f} MiB each, which do not fit in memory"
+        ) from exc
     top = np.argsort(-np.abs(eigenvalues), kind="stable")[:k]
     vectors = eigenvectors[:, top] * np.abs(eigenvalues[top])
     return SimilarityModel(vocab, vectors)
@@ -365,7 +371,9 @@ class KnowledgeBase:
         """Read an archive written by :meth:`save`.
 
         The first field of a ``cpos.tsv`` or ``sim.tsv`` line is exactly
-        one character, which may itself be a tab, followed by a tab.
+        one character, which may itself be a tab, followed by a tab.  A
+        character on two lines of one file is a
+        :class:`~patseg.corpus.ParseError` naming the later line.
         """
         root = Path(path)
         lexicon: dict[str, str] = {}
@@ -401,13 +409,18 @@ class KnowledgeBase:
 
 def _keyed_lines(path: Path, lines: list[str], skip: int = 0):
     """(``file:line``, character, rest) of every line ``<char>\\t<rest>``
-    of ``lines``, read from ``path``."""
+    of ``lines``, read from ``path``; a character keys one line only."""
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if lineno <= skip or not line:
             continue
         if len(line) < 2 or line[1] != "\t":
             raise ParseError(f"{path}:{lineno}: expected one character and a tab")
-        yield f"{path}:{lineno}", line[0], line[2:]
+        char = line[0]
+        if char in first_line:
+            raise ParseError(f"{path}:{lineno}: character {char!r} repeats line {first_line[char]}")
+        first_line[char] = lineno
+        yield f"{path}:{lineno}", char, line[2:]
 
 
 def build_knowledge(tagged_source: list[TaggedDocument], k: int) -> KnowledgeBase:

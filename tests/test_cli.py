@@ -107,6 +107,18 @@ class TestExtractKnowledge:
         assert "error:config:" in result.stderr
         assert "n=" in result.stderr
 
+    def test_similarity_matrices_too_large_for_memory_are_a_config_error(self, workspace, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "eigh", no_memory)
+        result = invoke(["extract-knowledge", "--config", cfg_path(workspace)])
+        assert result.exit_code == 1
+        # 地板很好大肠杆菌: the source corpus's distinct characters
+        assert result.stderr.startswith("error:config: the similarity model of 8 distinct characters")
+        assert result.stderr.count("\n") == 1
+        assert not (workspace / "kb").exists()
+
 
 class TestTrain:
     def test_baseline_train_writes_model(self, workspace):
@@ -598,15 +610,19 @@ class TestEval:
 
 
 class TestImports:
-    """Decoding and knowledge extraction never load the optimizer or the
-    sparse matrices, which only training uses; knowledge extraction loads
-    neither the CRF nor scipy at all."""
+    """What each command loads, as the ``cli`` module docstring says: only
+    ``train`` and ``curve`` load the optimizer and the sparse matrices;
+    ``segment`` loads the CRF and bare ``scipy``; ``extract-knowledge``
+    and ``eval`` load neither the CRF nor any ``scipy`` module."""
+
+    WATCHED = ("patseg.crf", "patseg.lbfgs", "patseg.adaptation", "patseg.pipeline",
+               "scipy", "scipy.optimize", "scipy.sparse")
 
     def modules_after(self, *args):
         code = (
             "import json, sys\n"
             "from patseg.cli import main\n"
-            f"main({list(args)!r})\n"
+            f"assert main({list(args)!r}) == 0\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'patseg'))))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -615,28 +631,30 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
-    def test_segment_and_extract_knowledge_load_no_optimizer(self, workspace):
-        run("extract-knowledge", "--config", cfg_path(workspace))
-        all_groups = ["--set", "features.groups=CF,LNG,PKL,PMI,C_POS,DICT,SIM"]
-        assert run("train", "--config", cfg_path(workspace), *all_groups).exit_code == 0
-        for args in (
-            ["extract-knowledge", "--config", cfg_path(workspace)],
-            ["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
-             "--output", str(workspace / "pred"), "--knowledge", str(workspace / "kb")],
-        ):
-            loaded = self.modules_after(*args)
-            assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded, args[0]
-        assert (workspace / "pred" / "r1.seg").exists()
-
-    def test_extract_knowledge_loads_neither_the_crf_nor_scipy(self, workspace):
-        loaded = self.modules_after("extract-knowledge", "--config", cfg_path(workspace))
-        assert (workspace / "kb" / "sim.tsv").exists()
-        assert not loaded & {"patseg.crf", "patseg.pipeline", "patseg.adaptation"}, sorted(loaded)
-        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
-
-    def test_train_loads_the_optimizer(self, workspace):
-        loaded = self.modules_after("train", "--config", cfg_path(workspace))
-        assert "scipy.optimize" in loaded and "scipy.sparse" in loaded
+    @pytest.mark.parametrize("command, loads", [
+        ("extract-knowledge", set()),
+        ("train", set(WATCHED)),
+        ("segment", {"patseg.crf", "patseg.lbfgs", "patseg.adaptation", "patseg.pipeline", "scipy"}),
+        ("eval", set()),
+        ("curve", set(WATCHED)),
+    ])
+    def test_each_command_loads_only_its_modules(self, workspace, command, loads):
+        config = ["--config", cfg_path(workspace)]
+        if command == "segment":
+            assert run("extract-knowledge", *config).exit_code == 0
+            all_groups = ["--set", "features.groups=CF,LNG,PKL,PMI,C_POS,DICT,SIM"]
+            assert run("train", *config, *all_groups).exit_code == 0
+        args = {
+            "segment": ["--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+                        "--output", str(workspace / "pred"), "--knowledge", str(workspace / "kb")],
+            "eval": ["--gold", str(workspace / "train"), "--pred", str(workspace / "train")],
+            "curve": [*config, "--set", "curve.sizes=4", "--set", "train.max_iterations=5"],
+        }.get(command, config)
+        loaded = self.modules_after(command, *args)
+        assert {m for m in self.WATCHED if m in loaded} == loads, sorted(loaded)
+        if "scipy" not in loads:
+            assert not [m for m in loaded if m.split(".")[0] == "scipy"], sorted(loaded)
+        # bench/layers.py wraps this name
         assert callable(crf.scipy.optimize.minimize)
 
 

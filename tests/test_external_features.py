@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patseg import corpus
+from patseg import corpus, external_features
 from patseg.corpus import Document, ParseError
 from patseg.external_features import (
     KnowledgeBase,
@@ -181,6 +181,18 @@ class TestSimilarityModel:
         with pytest.raises(ValueError) as err:
             build_similarity(["ab"], k=3)
         assert "n=2" in str(err.value)
+
+    @pytest.mark.parametrize("owner, name", [(external_features, "cooccurrence_matrix"), (np.linalg, "eigh")],
+                             ids=["cooccurrence", "eigh"])
+    def test_matrices_too_large_for_memory_are_a_value_error(self, monkeypatch, owner, name):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, name, no_memory)
+        with pytest.raises(ValueError) as err:
+            build_similarity(["xyz", "zyw"], k=2)
+        assert "4 distinct characters" in str(err.value) and "4 x 4" in str(err.value)
+        assert isinstance(err.value.__cause__, MemoryError)
 
     def test_colinear_vectors(self):
         model = SimilarityModel(["x", "y"], np.array([[1.0, 0.0], [2.0, 0.0]]))
@@ -374,6 +386,24 @@ class TestKnowledgeArchive:
         with pytest.raises(ParseError) as err:
             KnowledgeBase.load(tmp_path / "kb")
         assert f"{sim}:{len(lines) + 1}" in str(err.value)
+        sim.write_text("".join(lines + ["w" + lines[-1][1:]]), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert f"{sim}:{len(lines) + 1}: more rows than the 3" in str(err.value)
+
+    @pytest.mark.parametrize("name, damage, where", [
+        ("cpos.tsv", lambda lines: lines + lines[:1], "cpos.tsv:3: character 'x' repeats line 1"),
+        # y's row replaced by a copy of x's, the header count unchanged
+        ("sim.tsv", lambda lines: [lines[0], lines[1], lines[1], lines[3]], "sim.tsv:3: character 'x' repeats line 2"),
+    ])
+    def test_a_character_on_two_rows_is_a_parse_error(self, tmp_path, name, damage, where):
+        self.make_kb().save(tmp_path / "kb")
+        path = tmp_path / "kb" / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(damage(lines)), encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            KnowledgeBase.load(tmp_path / "kb")
+        assert str(tmp_path / "kb" / where) in str(err.value)
 
     def test_sim_header_is_not_an_allocation_size(self, tmp_path):
         """A header declaring far more rows and columns than the file

@@ -1,15 +1,27 @@
 """The paper's findings, gated on the seeded synthetic two-domain world.
 
+Every cell trains and scores through :func:`patseg.evaluation.run_curve`,
+with ``TrainConfig(l2=0.1, max_iterations=100, tolerance=1e-5)`` and, where
+the knowledge groups are on, ``build_knowledge(tagged, k=50)``.
+
 (a) Document features (CF+LNG+PKL+PMI) beat character features (CF)
     alone on F1.
 (b) With all seven feature groups, a model trained on the target domain
     beats one trained on the source domain on target F1.
+(c) Easy adaptation (Daumé III 2007) gains more over target-only training
+    at a small target size than with all target data: the mean over seeds
+    0-2 of (gap at 2,000 target words - gap at all 20,000), where gap is
+    F1(easy) - F1(target), is above 0.
 
-Both run on small worlds, 4,000 source and 4,000 target words, with at
-most 100 L-BFGS iterations: about 2.5 s per test.  The margins on seeds
-0-2 are at least 13 F1 points for (a) and 7 for (b), so the gates ask only
-that the winner wins.  Finding (c), that easy adaptation gains more over
-target-only training at small target sizes, needs full-size worlds.
+(a) and (b) run on small worlds, 4,000 source and 4,000 target words:
+about 2.5 s per test.  Their margins on seeds 0-2 are at least 13 F1
+points for (a) and 7 for (b), so the gates ask only that the winner wins.
+(c) needs full-size worlds, 20,000 source and 20,000 target words, and
+takes about 40 s for the three seeds, so it is marked ``slow``.  Its
+per-seed differences read +0.70, +2.86 and -0.20 F1 points, a mean of
++1.12; seed 2 alone would fail a per-seed form.  The form was chosen
+after those numbers were known, so the gate guards against regressions
+and is no independent evidence for (c).
 """
 
 from __future__ import annotations
@@ -18,9 +30,8 @@ import functools
 
 import pytest
 
-from patseg import adaptation
-from patseg.crf import TrainConfig, train
-from patseg.evaluation import score_documents
+from patseg.crf import TrainConfig
+from patseg.evaluation import run_curve
 from patseg.external_features import build_knowledge
 from patseg.pipeline import FeatureExtractor
 
@@ -30,6 +41,11 @@ SEEDS = (0, 1, 2)
 CONFIG = TrainConfig(l2=0.1, max_iterations=100, tolerance=1e-5)
 DOC_GROUPS = ("CF", "LNG", "PKL", "PMI")
 ALL_GROUPS = DOC_GROUPS + ("C_POS", "DICT", "SIM")
+SMALL_TARGET_WORDS = 2000
+
+
+def word_count(docs) -> int:
+    return sum(d.word_count() for d in docs)
 
 
 @functools.cache
@@ -40,11 +56,10 @@ def world(seed: int):
 
 def dev_f1(seed: int, training_docs, extractor: FeatureExtractor) -> float:
     """F1 on the target dev documents of a model trained on ``training_docs``."""
-    dev = world(seed)[2]
-    instances, _ = adaptation.build_training("target", None, training_docs, extractor, CONFIG)
-    model = train(instances, CONFIG)
-    predicted = [adaptation.segment_document(model, doc, extractor) for doc in dev]
-    return score_documents(dev, predicted).f1
+    tagged, _, dev = world(seed)
+    source = [t.doc for t in tagged]
+    [point] = run_curve(source, training_docs, dev, [word_count(training_docs)], ["target"], extractor, CONFIG)
+    return point.score.f1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -62,3 +77,17 @@ def test_target_training_beats_source_training(seed):
     source = dev_f1(seed, [t.doc for t in tagged], extractor)
     in_domain = dev_f1(seed, target, extractor)
     assert in_domain > source, f"seed {seed}: target-trained {in_domain:.4f} vs source-trained {source:.4f}"
+
+
+@pytest.mark.slow
+def test_easy_adaptation_gains_most_at_small_target_size():
+    differences = {}
+    for seed in SEEDS:
+        tagged, target, dev = build_benchmark(seed)
+        extractor = FeatureExtractor(ALL_GROUPS, build_knowledge(tagged, k=50))
+        sizes = (SMALL_TARGET_WORDS, word_count(target))
+        points = run_curve([t.doc for t in tagged], target, dev, sizes, ["target", "easy"], extractor, CONFIG)
+        f1 = {(p.mode, p.size): p.score.f1 for p in points}
+        small_gap, full_gap = (f1["easy", size] - f1["target", size] for size in sizes)
+        differences[seed] = small_gap - full_gap
+    assert sum(differences.values()) / len(SEEDS) > 0, f"gap at 2,000 - gap at full size: {differences}"
