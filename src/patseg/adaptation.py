@@ -121,7 +121,7 @@ def build_training(
     source_docs: Sequence[Document] | None,
     target_docs: Sequence[Document],
     extractor: FeatureExtractor,
-    train_config: TrainConfig = TrainConfig(),
+    config: TrainConfig = TrainConfig(),
 ) -> tuple[list[TrainingInstance], CrfModel | None]:
     """Assemble training instances, one per document, for one adaptation mode.
 
@@ -139,7 +139,7 @@ def build_training(
     source_model = None
     instances: list[TrainingInstance] = []
     if mode == "transit":
-        source_model = train(corpus_instances(source_docs, extractor), train_config)
+        source_model = train(corpus_instances(source_docs, extractor), config)
     elif mode != "target":
         instances = corpus_instances(source_docs, extractor, mode, SOURCE_DOMAIN)
     instances += corpus_instances(target_docs, extractor, mode, TARGET_DOMAIN, source_model)
@@ -182,7 +182,8 @@ def slice_target(docs: Sequence[Document], sizes: Sequence[int]) -> list[list[Do
 
     Each subset is the shortest prefix (in corpus order) whose cumulative
     word count reaches the requested size, so ascending sizes give nested
-    subsets.
+    subsets.  Two sizes that select the same prefix are refused: they
+    would train the same cell under two labels.
     """
     counts = [doc.word_count() for doc in docs]
     total = sum(counts)
@@ -193,7 +194,6 @@ def slice_target(docs: Sequence[Document], sizes: Sequence[int]) -> list[list[Do
             raise ValueError("sizes must be ascending")
         if size > total:
             raise ValueError(f"requested {size} words but the corpus has only {total}")
-        previous = size
         cumulative = 0
         prefix: list[Document] = []
         for doc, c in zip(docs, counts):
@@ -201,5 +201,11 @@ def slice_target(docs: Sequence[Document], sizes: Sequence[int]) -> list[list[Do
                 break
             prefix.append(doc)
             cumulative += c
+        if subsets and len(prefix) == len(subsets[-1]):
+            raise ValueError(
+                f"sizes {previous} and {size} both select the first {len(prefix)} document(s) "
+                f"({cumulative} words); each size must select a longer prefix than the last"
+            )
+        previous = size
         subsets.append(prefix)
     return subsets

@@ -161,9 +161,8 @@ def cmd_train(args: argparse.Namespace) -> None:
         source_docs = _read_source_documents(cfg)
         checksums["source"] = checksum(cfg.source)
     extractor = FeatureExtractor(cfg.groups, knowledge)
-    train_config = cfg.train_config
     instances, source_model = adaptation.build_training(
-        cfg.mode, source_docs, target_docs, extractor, train_config
+        cfg.mode, source_docs, target_docs, extractor, cfg.train
     )
     manifest = {
         "feature_groups": list(extractor.groups),
@@ -171,14 +170,14 @@ def cmd_train(args: argparse.Namespace) -> None:
         "knowledge_checksum": kb_checksum,
         "corpus_checksums": checksums,
     }
-    model = crf_train(instances, train_config, manifest)
+    model = crf_train(instances, cfg.train, manifest)
     model.source = source_model
     for prefix, trained in (("", model), ("source model ", source_model)):
         if trained is None or trained.manifest["optimizer"]["converged"]:
             continue
         optimizer = trained.manifest["optimizer"]
-        if optimizer["nit"] >= train_config.max_iterations:
-            reason = f"stopped at max_iterations={train_config.max_iterations} before convergence"
+        if optimizer["nit"] >= cfg.train.max_iterations:
+            reason = f"stopped at max_iterations={cfg.train.max_iterations} before convergence"
         else:
             reason = f"optimizer stopped before convergence: {optimizer['message']}"
         print(f"warning:training: {prefix}{reason}", file=sys.stderr)
@@ -289,7 +288,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
         list(cfg.curve_sizes),
         list(cfg.curve_modes),
         extractor,
-        cfg.train_config,
+        cfg.train,
     )
     report = io.StringIO()
     evaluation.write_curve_report(points, report)

@@ -6,15 +6,20 @@ The settings of every layer live here, below all of them: the feature
 groups, the training regimes and the CRF's :class:`TrainConfig`.  This
 module imports nothing of the package but the line reader, so a command
 can read its configuration without loading the CRF.
+
+Each key has one row in ``_SCHEMA``: the attribute it sets and the parser
+of its text.  ``[train]``'s numbers are :class:`TrainConfig`'s fields, held
+whole in ``RunConfig.train``, so a new ``[train]`` number takes a
+``TrainConfig`` field and one schema row.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .corpus import read_lines
 
@@ -73,10 +78,7 @@ class RunConfig:
     source_format: str = "tagged"  # tagged (word_TAG tokens) or plain
     groups: tuple[str, ...] = ("CF",)
     mode: str = "target"
-    l2: float = TrainConfig.l2
-    max_iterations: int = TrainConfig.max_iterations
-    tolerance: float = TrainConfig.tolerance
-    feature_cutoff: int = TrainConfig.feature_cutoff
+    train: TrainConfig = TrainConfig()
     sim_k: int = 50
     curve_sizes: tuple[int, ...] = ()
     curve_modes: tuple[str, ...] = ("target",)
@@ -95,53 +97,36 @@ class RunConfig:
             raise ConfigError(f"unknown source format {self.source_format!r}")
         if self.sim_k < 1:
             raise ConfigError("sim_k must be >= 1")
-        try:
-            self.train_config
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @property
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(self.l2, self.max_iterations, self.tolerance, self.feature_cutoff)
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
+def _words(raw: str) -> tuple[str, ...]:
+    return tuple(w.strip() for w in raw.split(",") if w.strip())
+
+
+def _integers(raw: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in _words(raw))
+
+
+# section -> key -> (attribute, parser of the key's text)
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     "data": {
-        "source": "source",
-        "target_train": "target_train",
-        "target_dev": "target_dev",
-        "source_format": "source_format",
+        "source": ("source", str),
+        "target_train": ("target_train", str),
+        "target_dev": ("target_dev", str),
+        "source_format": ("source_format", str),
     },
-    "features": {"groups": "groups"},
-    "knowledge": {"archive": "knowledge", "sim_k": "sim_k"},
+    "features": {"groups": ("groups", _words)},
+    "knowledge": {"archive": ("knowledge", str), "sim_k": ("sim_k", int)},
     "train": {
-        "mode": "mode",
-        "l2": "l2",
-        "max_iterations": "max_iterations",
-        "tolerance": "tolerance",
-        "feature_cutoff": "feature_cutoff",
+        "mode": ("mode", str),
+        "l2": ("l2", float),
+        "max_iterations": ("max_iterations", int),
+        "tolerance": ("tolerance", float),
+        "feature_cutoff": ("feature_cutoff", int),
     },
-    "curve": {"sizes": "curve_sizes", "modes": "curve_modes"},
-    "output": {"model": "model", "report": "report"},
+    "curve": {"sizes": ("curve_sizes", _integers), "modes": ("curve_modes", _words)},
+    "output": {"model": ("model", str), "report": ("report", str)},
 }
-
-
-def _parse_value(attr: str, raw: str):
-    raw = raw.strip()
-    try:
-        if attr in ("l2", "tolerance"):
-            return float(raw)
-        if attr in ("max_iterations", "feature_cutoff", "sim_k"):
-            return int(raw)
-        if attr == "groups":
-            return tuple(g.strip() for g in raw.split(",") if g.strip())
-        if attr == "curve_modes":
-            return tuple(m.strip() for m in raw.split(",") if m.strip())
-        if attr == "curve_sizes":
-            return tuple(int(s) for s in raw.split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {attr}: {raw!r}") from exc
-    return raw
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -159,23 +144,31 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             f"config section [{parser.default_section}] is not supported; "
             f"move its keys ({', '.join(parser.defaults())}) into their sections"
         )
-    values = {}
+    # (section, key, raw value, the message if the key is unknown)
+    settings = []
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            attr = _SCHEMA[section][key]
-            values[attr] = _parse_value(attr, raw)
+        settings += [
+            (section, key, raw, f"unknown config key {key!r} in section [{section}]")
+            for key, raw in parser.items(section)
+        ]
     for dotted, raw in (overrides or {}).items():
         section, _, key = dotted.partition(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown config override {dotted!r}")
-        attr = _SCHEMA[section][key]
-        values[attr] = _parse_value(attr, raw)
+        settings.append((section, key, raw, f"unknown config override {dotted!r}"))
+    values = {}
+    for section, key, raw, unknown in settings:
+        if key not in _SCHEMA.get(section, {}):
+            raise ConfigError(unknown)
+        attr, parse = _SCHEMA[section][key]
+        raw = raw.strip()
+        try:
+            values[attr] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {attr}: {raw!r}") from exc
+    train = {f.name: values.pop(f.name) for f in fields(TrainConfig) if f.name in values}
     try:
-        return RunConfig(**values)
+        return RunConfig(**values, train=TrainConfig(**train))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -157,28 +157,29 @@ def run_curve(
     sizes: Sequence[int],
     modes: Sequence[str],
     extractor: FeatureExtractor,
-    train_config: TrainConfig = TrainConfig(),
+    config: TrainConfig = TrainConfig(),
 ) -> list[CurvePoint]:
     """Train and evaluate every (mode, size) cell of the learning curve.
 
     The reference vocabulary for OOV recall is the source corpus's word
     types.  Points come back sorted by (mode, size); any failed training
-    aborts the run naming the failing cell.
+    aborts the run naming the failing cell.  Two sizes that select the
+    same target documents raise ``ValueError`` before any cell trains.
     """
     from . import adaptation
     from .crf import train
 
     ref_vocab = word_types(source_docs)
-    subsets = adaptation.slice_target(target_docs, sorted(sizes))
-    by_size = dict(zip(sorted(sizes), subsets))
+    sizes = sorted(set(sizes))
+    by_size = dict(zip(sizes, adaptation.slice_target(target_docs, sizes)))
     points: list[CurvePoint] = []
     for mode in sorted(set(modes)):
-        for size in sorted(set(sizes)):
+        for size in sizes:
             try:
                 instances, source_model = adaptation.build_training(
-                    mode, source_docs, by_size[size], extractor, train_config
+                    mode, source_docs, by_size[size], extractor, config
                 )
-                model = train(instances, train_config)
+                model = train(instances, config)
                 predicted = [
                     adaptation.segment_document(model, doc, extractor, mode, source_model)
                     for doc in dev_docs

@@ -304,6 +304,11 @@ class TestSliceTarget:
         with pytest.raises(ValueError):
             slice_target(self.docs([10, 10]), [15, 5])
 
+    @pytest.mark.parametrize("sizes", [[5, 8], [10, 10], [0, 0]])
+    def test_rejects_sizes_selecting_the_same_prefix(self, sizes):
+        with pytest.raises(ValueError, match=f"^sizes {sizes[0]} and {sizes[1]} both select"):
+            slice_target(self.docs([10, 10]), sizes)
+
     def test_rejects_oversized_request(self):
         with pytest.raises(ValueError):
             slice_target(self.docs([10]), [11])

@@ -329,6 +329,24 @@ class TestSegment:
         for src, out in zip(in_lines, out_lines):
             assert out.replace(" ", "") == src
 
+    def test_a_file_of_blank_lines_gives_as_many_blank_lines(self, workspace):
+        run("train", "--config", cfg_path(workspace))
+        (workspace / "raw" / "r2.txt").write_text("\n\n\n", encoding="utf-8")
+        result = run("segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+                     "--output", str(workspace / "pred"))
+        assert result.exit_code == 0, result.output
+        assert (workspace / "pred" / "r2.seg").read_bytes() == b"\n\n\n"
+
+    def test_a_model_that_needs_knowledge_is_refused_without_it(self, workspace):
+        assert run("extract-knowledge", "--config", cfg_path(workspace)).exit_code == 0
+        result = run("train", "--config", cfg_path(workspace), "--set", "features.groups=CF,DICT,SIM")
+        assert result.exit_code == 0, result.output
+        result = invoke(["segment", "--model", str(workspace / "out" / "model.crf"), "--input", str(workspace / "raw"),
+                         "--output", str(workspace / "pred")])
+        assert result.exit_code == 1
+        assert result.stderr == "error:config: model needs feature groups ['DICT', 'SIM']; pass --knowledge\n"
+        assert not (workspace / "pred").exists()
+
     def test_unicode_line_separators_stay_inside_their_line(self, workspace):
         """Form feed, U+0085 and U+2028 are characters, not line breaks, on
         both the segment and the eval side."""
@@ -693,6 +711,14 @@ class TestCurve:
         assert result.exit_code == 1
         assert not (workspace / "out" / "report.csv").exists()
 
+    def test_sizes_selecting_the_same_documents_are_invalid(self, workspace):
+        """4 and 9 words both fall in t1, the first training document."""
+        result = invoke(["curve", "--config", cfg_path(workspace), "--set", "curve.sizes=4,9"])
+        assert result.exit_code == 1, result.exception
+        assert result.stderr.startswith("error:invalid: sizes 4 and 9 both select the first 1 document(s)")
+        assert result.stderr.count("\n") == 1
+        assert not (workspace / "out" / "report.csv").exists()
+
     def test_a_failing_cell_prints_the_category_of_its_cause(self, workspace):
         """A cell that fails prints one error line with its cause's
         category and a message naming the cell, not a traceback."""
@@ -714,6 +740,14 @@ class TestConfigErrors:
         )
         assert result.exit_code == 1
         assert "error:config:" in result.stderr
+
+    def test_a_line_before_any_section_header(self, workspace):
+        path = workspace / "run.cfg"
+        path.write_text("mode = easy\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        result = invoke(["train", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:config: File contains no section headers.")
+        assert not (workspace / "out").exists()
 
 
 class TestEntryPoint:

@@ -41,8 +41,8 @@ class TestParsing:
         assert cfg.source == "corpora/source"
         assert cfg.groups == ("CF", "LNG", "PMI")
         assert cfg.mode == "easy"
-        assert cfg.l2 == 0.5
-        assert cfg.max_iterations == 120
+        assert cfg.train.l2 == 0.5
+        assert cfg.train.max_iterations == 120
         assert cfg.sim_k == 20
         assert cfg.curve_sizes == (1000, 2000)
         assert cfg.curve_modes == ("target", "easy")
@@ -51,7 +51,7 @@ class TestParsing:
         cfg = parse_config("")
         assert cfg.groups == ("CF",)
         assert cfg.mode == "target"
-        assert cfg.tolerance == 1e-6
+        assert cfg.train.tolerance == 1e-6
         assert cfg.source_format == "tagged"
 
     def test_cf_forced_on(self):
@@ -61,7 +61,7 @@ class TestParsing:
     def test_overrides_win(self):
         cfg = parse_config(SAMPLE, {"train.mode": "target", "train.l2": "0.25"})
         assert cfg.mode == "target"
-        assert cfg.l2 == 0.25
+        assert cfg.train.l2 == 0.25
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError):
@@ -135,4 +135,4 @@ class TestValidation:
 
     def test_zero_l2_and_tolerance_are_accepted(self):
         cfg = parse_config("[train]\nl2 = 0\ntolerance = 0\nfeature_cutoff = 1\n")
-        assert (cfg.l2, cfg.tolerance, cfg.feature_cutoff) == (0.0, 0.0, 1)
+        assert (cfg.train.l2, cfg.train.tolerance, cfg.train.feature_cutoff) == (0.0, 0.0, 1)

@@ -136,6 +136,12 @@ class TestReadCorpus:
         assert len(docs[0].sentences[0]) == 4
         assert docs[0].words is None
 
+    def test_a_single_file_is_a_corpus_of_one_document(self, tmp_path):
+        (tmp_path / "p2.seg").write_text("好\n", encoding="utf-8")
+        path = tmp_path / "p1.seg"
+        path.write_text("地板 很 好\n", encoding="utf-8")
+        assert read_corpus(path, "segmented") == read_corpus(tmp_path, "segmented")[:1]
+
     def test_document_order_is_lexicographic(self, tmp_path):
         (tmp_path / "p2.seg").write_text("好\n", encoding="utf-8")
         (tmp_path / "p1.seg").write_text("好\n", encoding="utf-8")

@@ -141,12 +141,17 @@ class TestRunCurve:
         source, target, dev = self.corpora()
         extractor = FeatureExtractor(("CF",))
         cfg = TrainConfig(l2=0.1, max_iterations=15)
-        points = run_curve(source, target, dev, [2, 5, 9], ["target", "easy"], extractor, cfg)
-        assert len(points) == 6
+        # 4 words are t1, 5 are t1 and t2
+        points = run_curve(source, target, dev, [5, 4], ["target", "easy"], extractor, cfg)
         assert [(p.mode, p.size) for p in points] == [
-            ("easy", 2), ("easy", 5), ("easy", 9),
-            ("target", 2), ("target", 5), ("target", 9),
+            ("easy", 4), ("easy", 5), ("target", 4), ("target", 5),
         ]
+
+    def test_sizes_selecting_the_same_documents_are_refused(self):
+        """5 and 9 words both select t1 and t2: one cell under two labels."""
+        source, target, dev = self.corpora()
+        with pytest.raises(ValueError, match=r"^sizes 5 and 9 both select the first 2 document\(s\) \(9 words\)"):
+            run_curve(source, target, dev, [2, 5, 9], ["target"], FeatureExtractor(("CF",)), TrainConfig())
 
     def test_failed_cell_names_mode_and_size(self):
         source, target, dev = self.corpora()

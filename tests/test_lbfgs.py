@@ -49,15 +49,25 @@ def quadratic(seed=0, n=40, condition=1e3):
     return fun, optimum
 
 
-def scipy_lbfgsb(fun, x0, max_iterations, tolerance):
+def rosenbrock(x):
+    return float(scipy.optimize.rosen(x)), scipy.optimize.rosen_der(x)
+
+
+ROSENBROCK_START = np.array([-1.2, 1.0, -0.5, 2.0, 1.5, -1.0])
+
+
+def scipy_lbfgsb(fun, x0, max_iterations, tolerance, **options):
     return scipy.optimize.minimize(
         fun, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iterations, "ftol": tolerance, "gtol": lbfgs.GRADIENT_TOLERANCE, "maxcor": lbfgs.MEMORY},
+        options={"maxiter": max_iterations, "ftol": tolerance, "gtol": lbfgs.GRADIENT_TOLERANCE, "maxcor": lbfgs.MEMORY,
+                 **options},
     )
 
 
-def assert_same_run(fun, x0, max_iterations, tolerance):
-    expected = scipy_lbfgsb(fun, x0, max_iterations, tolerance)
+def assert_same_run(fun, x0, max_iterations, tolerance, **options):
+    """patseg's run equals L-BFGS-B's, given ``options`` besides the ones
+    both share."""
+    expected = scipy_lbfgsb(fun, x0, max_iterations, tolerance, **options)
     got = lbfgs.minimize(fun, x0, max_iterations, tolerance)
     assert (got.nit, got.nfev, got.message, got.success) == (
         expected.nit, expected.nfev, expected.message, expected.success)
@@ -108,6 +118,36 @@ class TestAgainstLbfgsb:
         got = lbfgs.minimize(uphill, np.ones(3), 20, 1e-6)
         assert got.message == lbfgs.ABNORMAL and not got.success and got.nit == 0
         assert np.array_equal(got.x, np.ones(3))
+
+    def test_failed_line_searches_empty_the_memory_before_stopping(self, monkeypatch):
+        """With one evaluation per search, a search that fails with pairs
+        stored retries along -g; only one that fails with none stops."""
+        monkeypatch.setattr(lbfgs, "MAX_LINE_SEARCH_EVALUATIONS", 1)
+        got = assert_same_run(rosenbrock, ROSENBROCK_START, 1000, 1e-6, maxls=1)
+        assert got.message == lbfgs.ABNORMAL and got.nit > 0
+
+    @pytest.mark.parametrize("cap", [5, 10, 30])
+    def test_rosenbrock_at_the_evaluation_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(lbfgs, "MAX_EVALUATIONS", cap)
+        got = assert_same_run(rosenbrock, ROSENBROCK_START, 1000, 1e-12, maxfun=cap)
+        assert got.message == lbfgs.EVALUATION_LIMIT and got.nfev > cap
+
+    def test_a_step_onto_the_minimizer_stops_at_the_gradient_test(self):
+        # |g(0)| = 1, so the first trial step, 1 / |g|, lands on the minimizer
+        c = np.full(4, 0.5)
+        got = assert_same_run(lambda x: (0.5 * float((x - c) @ (x - c)), x - c), np.zeros(4), 100, 1e-6)
+        assert (got.nit, got.message) == (1, lbfgs.CONVERGED_GRADIENT)
+        assert np.array_equal(got.x, c)
+
+    def test_a_pair_without_curvature_is_not_stored(self, monkeypatch):
+        """Along a linear function the gradient never changes, so s'y = 0
+        and no pair is stored: every direction is -g."""
+        def no_pairs(*args):
+            raise AssertionError("a pair was stored")
+
+        monkeypatch.setattr(lbfgs, "_two_loop", no_pairs)
+        got = assert_same_run(lambda x: (-float(x.sum()), -np.ones_like(x)), np.zeros(2), 3, 1e-6)
+        assert got.message == lbfgs.ITERATION_LIMIT
 
 
 def test_the_callback_sees_every_iterate():
