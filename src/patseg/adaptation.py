@@ -14,6 +14,11 @@ namespaces ``COM:t`` and ``<domain>:t``, which share the one coded
 column, and the zero block simply has no columns.  ``transit`` adds one
 ``TRANSIT`` column of predicted labels, coded in ``LABELS``.
 
+Training an ``easy`` model fits all three blocks.  Decoding reads only
+``COM`` and ``target``, since a decoded document is target data, so a
+saved ``easy`` model keeps those two and drops ``source``
+(:func:`decoding_model`).
+
 A training instance is one document, so its document-level features
 and its gold labels stay together; training averages the objective over
 sentences, however they are grouped into documents.
@@ -122,12 +127,17 @@ def build_training(
     target_docs: Sequence[Document],
     extractor: FeatureExtractor,
     config: TrainConfig = TrainConfig(),
+    *,
+    source_model: CrfModel | None = None,
 ) -> tuple[list[TrainingInstance], CrfModel | None]:
     """Assemble training instances, one per document, for one adaptation mode.
 
     Returns the instances and, for ``transit``, the auxiliary model
-    trained on the source corpus (None otherwise).  Document-level
-    features are always computed per document within its own corpus.
+    trained on the source corpus (None otherwise).  A ``transit`` caller
+    that already holds that model, trained on the same source documents
+    with the same extractor and config, passes it as ``source_model`` and
+    it is not trained again.  Document-level features are always
+    computed per document within its own corpus.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown adaptation mode {mode!r}")
@@ -136,14 +146,33 @@ def build_training(
     if mode != "target" and not source_docs:
         raise ConfigError(f"mode {mode!r} needs a source corpus")
 
-    source_model = None
     instances: list[TrainingInstance] = []
-    if mode == "transit":
+    if mode != "transit":
+        source_model = None
+    elif source_model is None:
         source_model = train(corpus_instances(source_docs, extractor), config)
-    elif mode != "target":
+    if mode in ("all", "easy"):
         instances = corpus_instances(source_docs, extractor, mode, SOURCE_DOMAIN)
     instances += corpus_instances(target_docs, extractor, mode, TARGET_DOMAIN, source_model)
     return instances, source_model
+
+
+def decoding_model(model: CrfModel) -> CrfModel:
+    """The part of a trained model that decoding reads, for saving.
+
+    Decoding puts a document in the target domain, so an ``easy`` model
+    never reads its ``source`` templates: they are dropped, and the
+    manifest's ``dropped_namespace`` says so.  Scores of decoded
+    documents stay bit for bit the same (:meth:`CrfModel.keep_templates`).
+    A model of any other mode reads every template and is returned as it
+    is.
+    """
+    if model.manifest.get("mode") != "easy":
+        return model
+    prefix = f"{SOURCE_DOMAIN}:"
+    kept = model.keep_templates(lambda template_id: not template_id.startswith(prefix))
+    kept.manifest["dropped_namespace"] = SOURCE_DOMAIN
+    return kept
 
 
 def decoding_features(

@@ -14,10 +14,11 @@ unknown, abbreviated or missing option or command), after argparse's usage
 and message, which is not an ``error:`` line.
 
 ``train`` writes one model file, which for ``transit`` also holds the
-source model, and ``segment`` reads only that file.  A model file that is
-damaged or not a model, or whose manifest gives feature groups that are
-not a list of known groups or an unknown mode, is refused with
-``error:invalid:``.
+source model and for ``easy`` leaves out the ``source`` namespace that
+decoding never reads, and ``segment`` reads only that file.  A model
+file that is damaged or not a model, or whose manifest gives feature
+groups that are not a list of known groups or an unknown mode, is
+refused with ``error:invalid:``.
 
 A process pays only for the command it runs.  At module level this
 module loads :mod:`~patseg.config`, :mod:`~patseg.corpus` and
@@ -170,7 +171,7 @@ def cmd_train(args: argparse.Namespace) -> None:
         "knowledge_checksum": kb_checksum,
         "corpus_checksums": checksums,
     }
-    model = crf_train(instances, cfg.train, manifest)
+    model = adaptation.decoding_model(crf_train(instances, cfg.train, manifest))
     model.source = source_model
     for prefix, trained in (("", model), ("source model ", source_model)):
         if trained is None or trained.manifest["optimizer"]["converged"]:

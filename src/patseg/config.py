@@ -129,14 +129,16 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
 }
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Parse config text; ``overrides`` maps "section.key" to raw values."""
+def parse_config(text: str, overrides: dict[str, str] | None = None, source: str = "<string>") -> RunConfig:
+    """Parse config text; ``overrides`` maps "section.key" to raw values.
+    ``source`` names the text in the message of a syntax error."""
     # values are literal: no %-interpolation, so "%" needs no escape
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        # configparser spreads some messages over several lines
+        raise ConfigError(" ".join(line.strip() for line in str(exc).splitlines())) from exc
     if parser.defaults():
         # configparser copies [DEFAULT]'s keys into every section, and reads
         # none of them when no other section is present
@@ -178,4 +180,4 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ru
     :class:`~patseg.corpus.ParseError` naming the file and line."""
     # a byte-order mark, as some editors save one, is not text
     text = "\n".join(read_lines(path)).removeprefix("\ufeff")
-    return parse_config(text, overrides)
+    return parse_config(text, overrides, str(path))

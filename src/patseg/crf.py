@@ -98,7 +98,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy
@@ -294,6 +294,26 @@ class CrfModel:
         each row summing to one."""
         batch, e, w_t = self._scores(columns)
         return batch.forward_backward(e, w_t)[1]
+
+    def keep_templates(self, keep: Callable[[str], bool]) -> "CrfModel":
+        """This model with only the templates ``keep`` accepts, in their
+        order, each with its emission weights, and the same transition
+        weights, config, manifest and source model.  Slots are renumbered
+        and nothing else changes, so columns that name only kept
+        templates score bit for bit as before."""
+        emission = self._emission_weights()
+        values: dict[str, list[str]] = {}
+        rows = []
+        offset = 0
+        for template_id, slots in self.registry._slots.items():
+            if keep(template_id):
+                values[template_id] = list(slots)
+                rows.append(emission[offset : offset + len(slots)].ravel())
+            offset += len(slots)
+        weights = np.concatenate([*rows, self._transition_weights().ravel()])
+        model = CrfModel(FeatureRegistry(values), weights, self.config, self.manifest)
+        model.source = self.source
+        return model
 
     def save(self, path: str | Path) -> None:
         """Write this model and its source model, if any, to one file in

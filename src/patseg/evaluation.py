@@ -174,10 +174,13 @@ def run_curve(
     by_size = dict(zip(sizes, adaptation.slice_target(target_docs, sizes)))
     points: list[CurvePoint] = []
     for mode in sorted(set(modes)):
+        # transit's source model depends on neither the size nor the
+        # target documents: the first cell trains it and the others reuse it
+        source_model = None
         for size in sizes:
             try:
                 instances, source_model = adaptation.build_training(
-                    mode, source_docs, by_size[size], extractor, config
+                    mode, source_docs, by_size[size], extractor, config, source_model=source_model
                 )
                 model = train(instances, config)
                 predicted = [

@@ -9,6 +9,7 @@ from patseg.adaptation import (
     build_training,
     corpus_instances,
     decoding_features,
+    decoding_model,
     segment_document,
     slice_target,
 )
@@ -242,6 +243,36 @@ class TestEasyIsolation:
                 for fv in rows:
                     touched = {slots[key] for key in fv if key in slots}
                     assert touched.isdisjoint(source_slots)
+
+
+class TestDecodingModel:
+    def test_an_easy_model_drops_the_source_namespace_and_scores_bitwise_as_before(self):
+        """What :class:`TestEasyIsolation` shows decoding never reads is
+        dropped, and every decoded sentence, of either corpus, gets the
+        same emission and transition scores to the last bit."""
+        source, target = toy_corpora()
+        extractor = FeatureExtractor(("CF", "LNG"))
+        instances, _ = build_training("easy", source, target, extractor, FAST)
+        model = train(instances, FAST, {"mode": "easy"})
+        kept = decoding_model(model)
+        templates = [t for (t, _), _ in slot_items(model.registry)]
+        assert {t for (t, _), _ in slot_items(kept.registry)} == {t for t in templates if not t.startswith("source:")}
+        assert any(t.startswith("source:") for t in templates)
+        assert kept.manifest == {**model.manifest, "dropped_namespace": "source"}
+        assert "dropped_namespace" not in model.manifest
+        for doc in source + target:
+            for columns in decoding_features(doc, extractor, "easy"):
+                _, emissions, transitions = model._scores(columns)
+                _, kept_emissions, kept_transitions = kept._scores(columns)
+                assert kept_emissions.tobytes() == emissions.tobytes()
+                assert kept_transitions.tobytes() == transitions.tobytes()
+
+    @pytest.mark.parametrize("mode", ["target", "all", "transit"])
+    def test_other_modes_keep_the_model_as_it_is(self, mode):
+        source, target = toy_corpora()
+        instances, _ = build_training(mode, source, target, FeatureExtractor(("CF",)), FAST)
+        model = train(instances, FAST, {"mode": mode})
+        assert decoding_model(model) is model
 
 
 class TestDecodingFeatures:

@@ -213,8 +213,40 @@ class TestTrain:
         )
         assert result.exit_code == 0, result.output
         model = CrfModel.load(workspace / "out" / "model.crf")
-        assert model.manifest["mode"] == "easy"
-        assert any(t.startswith("source:") for (t, _), _ in slot_items(model.registry))
+        assert model.manifest["mode"] == "easy" and model.manifest["dropped_namespace"] == "source"
+        assert not any(t.startswith("source:") for (t, _), _ in slot_items(model.registry))
+        assert any(t.startswith("target:") for (t, _), _ in slot_items(model.registry))
+
+    def test_an_easy_model_saved_whole_segments_as_the_file_train_writes(self, workspace, monkeypatch):
+        """An easy model file that still holds the source namespace, as
+        ``train`` wrote before dropping it, loads and segments byte for
+        byte as the file ``train`` writes now."""
+        run("extract-knowledge", "--config", cfg_path(workspace))
+        whole = workspace / "whole.crf"
+        drop = adaptation.decoding_model
+
+        def save_whole_first(model):
+            model.save(whole)
+            return drop(model)
+
+        monkeypatch.setattr(adaptation, "decoding_model", save_whole_first)
+        groups = "features.groups=CF,LNG,PKL,PMI,C_POS,DICT,SIM"
+        result = run("train", "--config", cfg_path(workspace), "--set", "train.mode=easy", "--set", groups)
+        assert result.exit_code == 0, result.output
+        written = workspace / "out" / "model.crf"
+        assert any(t.startswith("source:") for (t, _), _ in slot_items(CrfModel.load(whole).registry))
+        assert written.stat().st_size < whole.stat().st_size
+        (workspace / "raw" / "r2.txt").write_text("大肠杆菌很大\n地板干扰素\n", encoding="utf-8")
+        outputs = []
+        for model in (whole, written):
+            pred = workspace / f"pred-{model.stem}"
+            result = run(
+                "segment", "--model", str(model), "--input", str(workspace / "raw"), "--output", str(pred),
+                "--knowledge", str(workspace / "kb"),
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append({p.name: p.read_bytes() for p in pred.iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 2
 
     def test_transit_persists_auxiliary_model(self, workspace):
         result = run(
@@ -747,7 +779,18 @@ class TestConfigErrors:
         result = invoke(["train", "--config", str(path)])
         assert result.exit_code == 1
         assert result.stderr.startswith("error:config: File contains no section headers.")
+        assert result.stderr.count("\n") == 1 and repr(str(path)) in result.stderr, result.stderr
         assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("tail", ["[curve]\nmodes\n", "[curve]\nmodes = easy\nmodes = target\n"])
+    def test_unreadable_lines_are_one_error_line_naming_the_file(self, workspace, tail):
+        """A line with no value, or a key given twice in one section."""
+        path = workspace / "run.cfg"
+        path.write_text(path.read_text(encoding="utf-8") + tail, encoding="utf-8")
+        result = invoke(["train", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:config: ") and result.stderr.count("\n") == 1, result.stderr
+        assert repr(str(path)) in result.stderr
 
 
 class TestEntryPoint:

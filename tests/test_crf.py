@@ -753,6 +753,15 @@ class TestModelFile:
         loaded.save(tmp_path / "again.crf")
         assert (tmp_path / "again.crf").read_bytes() == path.read_bytes()
 
+    def test_kept_templates_keep_their_order_and_weight_rows(self):
+        weights = np.arange(5 * 4 + 16, dtype=np.float64)
+        model = CrfModel(FeatureRegistry({"a": ["x", "y"], "b": ["z"], "c": ["x", "w"]}), weights, manifest={"m": 1})
+        model.source = CrfModel(FeatureRegistry({}), np.zeros(16))
+        kept = model.keep_templates(lambda t: t != "b")
+        assert slot_items(kept.registry) == [(("a", "x"), 0), (("a", "y"), 1), (("c", "x"), 2), (("c", "w"), 3)]
+        assert np.array_equal(kept.weights, np.concatenate([weights[:8], weights[12:]]))
+        assert kept.config == model.config and kept.manifest == model.manifest and kept.source is model.source
+
     def test_equal_values_are_one_object_after_load(self, tmp_path):
         """A value registered under two templates, and again in the source
         model, is one string object once loaded; the bytes do not change."""

@@ -137,6 +137,22 @@ class TestRunCurve:
         direct = score_documents(dev, predicted, word_types(source))
         assert points[0].score == direct
 
+    def test_a_transit_curve_trains_its_source_model_once(self, monkeypatch):
+        """Every cell of a transit curve reads the same source model, so it
+        is trained once, and the cells score as curves of one size each."""
+        from patseg import adaptation
+
+        source, target, dev = self.corpora()
+        extractor = FeatureExtractor(("CF",))
+        cfg = TrainConfig(l2=0.1, max_iterations=15)
+        separate = [p for size in (4, 5) for p in run_curve(source, target, dev, [size], ["transit"], extractor, cfg)]
+        trained = []
+        source_train = adaptation.train
+        monkeypatch.setattr(adaptation, "train", lambda *args: trained.append(args) or source_train(*args))
+        points = run_curve(source, target, dev, [4, 5], ["target", "transit"], extractor, cfg)
+        assert len(trained) == 1
+        assert [p for p in points if p.mode == "transit"] == separate
+
     def test_cartesian_product_of_cells(self):
         source, target, dev = self.corpora()
         extractor = FeatureExtractor(("CF",))
