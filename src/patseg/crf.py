@@ -7,11 +7,12 @@ transition weights.  Unseen feature values score 0 at test time.
 
 Features reach the CRF in one form, :class:`FeatureColumns`: for a run of
 sentences, one coded column per template, row ``r`` of every column
-being one character position.  A coded column is a table of distinct
-values plus one integer code per row; feature extraction builds one
-table per template and document.  A :class:`TrainingInstance` is one
-document: its columns and the gold label of every row.  The
-:class:`FeatureRegistry` keeps one value-to-slot dictionary per template
+being one character position.  A template names one column of a run,
+never two.  A coded column is a table of distinct values plus one
+integer code per row; feature extraction builds one table per template
+and document.  A :class:`TrainingInstance` is one document: its
+columns and the gold label of every row.  The :class:`FeatureRegistry`
+keeps one value-to-slot dictionary per template
 (CRFsuite's attribute dictionaries), each template owning one contiguous
 range of slots; it is built once from the training instances, looking
 up each distinct value of a table once, and only read after that.
@@ -27,7 +28,9 @@ with exact gradients from forward-backward.  The optimizer is
 :mod:`patseg.lbfgs`, a numpy L-BFGS that takes L-BFGS-B's path without
 bounds (Liu and Nocedal 1989; Sha and Pereira 2003 for CRFs), with
 deterministic behavior: identical data and config reproduce
-bit-identical weights.  The settings, :class:`~patseg.config.TrainConfig`,
+bit-identical weights at a fixed BLAS thread count.  Under another
+thread count the weights can differ in their last bits (ROADMAP.md
+item 10).  The settings, :class:`~patseg.config.TrainConfig`,
 and :class:`~patseg.config.TrainingError` live in :mod:`patseg.config`,
 so that a command reads its configuration without loading this module;
 both names are imported here too.
@@ -123,8 +126,9 @@ class FeatureColumns:
     code per row, ``codes[j]``: row ``r`` holds ``tables[j][codes[j, r]]``,
     and a ``None`` entry means the row has no entry for that template.
     ``codes`` is templates by rows; rows run through the sentences in
-    order, ``lengths[s]`` rows for sentence ``s``.  Columns may share a
-    table object, and the sentences cut from one run share its tables.
+    order, ``lengths[s]`` rows for sentence ``s``.  A template names one
+    column: a run naming a template twice is refused.  Columns may share
+    a table object, and the sentences cut from one run share its tables.
     Iterating yields each row as a list of (template-id, value) pairs in
     template order.
     """
@@ -139,6 +143,9 @@ class FeatureColumns:
             raise ValueError("one table per template is needed")
         if self.codes.shape != (len(self.templates), sum(self.lengths)):
             raise ValueError("codes must be templates by rows, aligned to the sentence lengths")
+        if len(set(self.templates)) != len(self.templates):
+            repeated = next(t for t in self.templates if self.templates.count(t) > 1)
+            raise ValueError(f"template {repeated!r} names more than one column")
 
     def __len__(self) -> int:
         return sum(self.lengths)
@@ -362,6 +369,7 @@ def _decode_models(data: bytes) -> CrfModel:
     _check(header.get("labels") == list(LABELS), "label set mismatch")
     entries = header.get("models")
     _check(isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries), "no model entries")
+    _check(len(entries) <= 2, f"{len(entries)} model entries, where a model and its source model make at most 2")
     models = []
     offset = header_end + 1
     # json.loads shares equal object keys but not equal list items
@@ -775,11 +783,11 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     ``feature_cutoff`` times, template-major in first-seen order.
 
     Templates take their slot ranges in the order they first occur among
-    the instances' columns.  Each template lists its values in the order
-    they first occur: rows in instance order, then a row's columns left
-    to right.  Works on distinct codes: each instance's column gives every
-    code its first row and its count in a few array reductions, the codes
-    of an instance's columns are sorted once by (first row, column), and
+    the instances' columns.  A template names one column of an instance,
+    so it lists its values in the order of their first row in that
+    column, instance after instance.  Works on distinct codes: one
+    ``np.unique`` gives every code of a column its first row and its
+    count, the codes are sorted by first row (distinct, so no ties), and
     each is then counted into its template's dictionary in that order, so
     a dictionary's insertion order is the first-seen order.
     """
@@ -787,35 +795,15 @@ def build_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 
     met: dict[str, dict[str | None, int]] = {}
     for inst in instances:
         run = inst.features
-        if not run.templates:
-            continue
-        counters, values, firsts, counts = [], [], [], []
         for template_id, table, codes in zip(run.templates, run.tables, run.codes):
-            present, first_row, count = _occurrences(codes, len(table))
-            counters += [met.setdefault(template_id, {})] * len(present)
-            values += map(table.__getitem__, present.tolist())
-            firsts.append(first_row)
-            counts.append(count)
-        # by first row, then column: the columns are concatenated in column
-        # order and the sort is stable
-        order = np.argsort(np.concatenate(firsts), kind="stable")
-        ranked = order.tolist()
-        totals = np.concatenate(counts)[order].tolist()
-        for counter, value, n in zip(map(counters.__getitem__, ranked), map(values.__getitem__, ranked), totals):
-            counter[value] = counter.get(value, 0) + n
+            present, first_row, count = np.unique(codes, return_index=True, return_counts=True)
+            order = np.argsort(first_row)
+            counter = met.setdefault(template_id, {})
+            for value, n in zip(map(table.__getitem__, present[order].tolist()), count[order].tolist()):
+                counter[value] = counter.get(value, 0) + n
     return FeatureRegistry(
         {t: [v for v, c in counter.items() if c >= feature_cutoff and v is not None] for t, counter in met.items()}
     )
-
-
-def _occurrences(codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every code of a column that occurs, with its first row and count;
-    the codes are below ``n_codes``."""
-    first = np.full(n_codes, len(codes))
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    count = np.bincount(codes, minlength=n_codes)
-    present = np.flatnonzero(count)
-    return present, first[present], count[present]
 
 
 def train(
@@ -826,10 +814,11 @@ def train(
     """Fit weights by maximizing the regularized log-likelihood, averaged
     over the sentences of the instances.
 
-    Deterministic: the registry is built in instance order, the start
-    point is zero, and :func:`patseg.lbfgs.minimize` stops on relative
-    objective change below ``config.tolerance`` or after
-    ``config.max_iterations`` iterations, where L-BFGS-B would.  The run
+    Deterministic at a fixed BLAS thread count (ROADMAP.md item 10): the
+    registry is built in instance order, the start point is zero, and
+    :func:`patseg.lbfgs.minimize` stops on relative objective change
+    below ``config.tolerance`` or after ``config.max_iterations``
+    iterations, where L-BFGS-B would.  The run
     goes through ``scipy.optimize.minimize`` with the loop as a custom
     ``method`` only because benchmark tooling wraps that name to read the
     iteration count.  How it stopped is recorded under

@@ -103,12 +103,17 @@ def score_documents(
     pred_docs: Sequence[Document],
     ref_vocab: set[str] | None = None,
 ) -> SegScore:
-    """Score two aligned segmented corpora (matched by document id)."""
+    """Score two aligned segmented corpora (matched by document id).  Both
+    must hold the same documents: one that only one side holds is refused."""
     for side, docs in (("gold", gold_docs), ("predicted", pred_docs)):
         ids = [d.doc_id for d in docs]
         if len(set(ids)) != len(ids):
             duplicate = next(i for i in ids if ids.count(i) > 1)
             raise ValueError(f"{side} corpus holds document {duplicate!r} more than once")
+    gold_ids = {d.doc_id for d in gold_docs}
+    for pdoc in pred_docs:
+        if pdoc.doc_id not in gold_ids:
+            raise ValueError(f"predicted document {pdoc.doc_id!r} missing from the gold corpus")
     pred_by_id = {d.doc_id: d for d in pred_docs}
     gold_sentences: list[Sequence[str]] = []
     pred_sentences: list[Sequence[str]] = []

@@ -58,24 +58,18 @@ def coded(templates: Sequence[str], columns: Sequence[Sequence[str | None]], len
 def columns_from_rows(rows: Sequence[Row], lengths: Sequence[int] | None = None) -> FeatureColumns:
     """Rows of any arity as columns; one sentence unless ``lengths`` splits them.
 
-    The k-th entry of template t in a row goes to the k-th column of t;
-    columns are ordered by first appearance, and rows without the entry
-    hold None there.
+    Each template is one column, columns ordered by first appearance, and
+    rows without the template hold None there.  A row naming a template
+    twice is refused.
     """
-    index: dict[tuple[str, int], int] = {}
-    templates: list[str] = []
-    columns: list[list[str | None]] = []
+    columns: dict[str, list[str | None]] = {}
     for r, fv in enumerate(rows):
-        occurrences: dict[str, int] = {}
+        named = [template_id for template_id, _ in fv]
+        if len(set(named)) != len(named):
+            raise ValueError(f"row {r} names a template twice")
         for template_id, value in fv:
-            k = occurrences.get(template_id, 0)
-            occurrences[template_id] = k + 1
-            j = index.setdefault((template_id, k), len(columns))
-            if j == len(columns):
-                templates.append(template_id)
-                columns.append([None] * len(rows))
-            columns[j][r] = value
-    return coded(templates, columns, lengths or (len(rows),))
+            columns.setdefault(template_id, [None] * len(rows))[r] = value
+    return coded(tuple(columns), tuple(columns.values()), lengths or (len(rows),))
 
 
 def run_of(sentences: Sequence[Sequence[Row]]) -> FeatureColumns:
@@ -90,10 +84,10 @@ def instance(rows: Sequence[Row], gold: Sequence[str], source_id: str = "") -> T
 def value_registry(instances: Sequence[TrainingInstance], feature_cutoff: int = 1) -> dict[str, list[str]]:
     """The registry's values built over value lists: templates in the
     order they first occur among the instances' columns, each with its
-    values in first-seen order (rows in instance order, then a row's
-    columns left to right), None and values seen fewer than
-    ``feature_cutoff`` times left out.  The oracle for the slots and for
-    the order in which a model file lists each template's values."""
+    values in first-seen order (rows in instance order), None and values
+    seen fewer than ``feature_cutoff`` times left out.  The oracle for the
+    slots and for the order in which a model file lists each template's
+    values."""
     first: dict[str, dict[str | None, None]] = {}
     counts: Counter = Counter()
     for inst in instances:

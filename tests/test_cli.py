@@ -648,6 +648,14 @@ class TestEval:
         assert "error:" in result.stderr
 
 
+    def test_a_predicted_document_without_gold_is_refused(self, workspace):
+        pred = workspace / "pred_extra"
+        shutil.copytree(workspace / "train", pred)
+        (pred / "zz.seg").write_text("很 好\n", encoding="utf-8")
+        result = invoke(["eval", "--gold", str(workspace / "train"), "--pred", str(pred)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == "error:invalid: predicted document 'zz' missing from the gold corpus\n"
+
     def test_two_files_with_one_document_id_are_refused(self, workspace):
         pred = workspace / "pred_dup"
         pred.mkdir()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patseg import corpus, crf, lbfgs
+from patseg.adaptation import build_training
 from patseg.corpus import LABELS, decode_bmes, encode_bmes
 from patseg.char_features import cf_features, char_types
 from patseg.crf import (
@@ -28,6 +29,7 @@ from patseg.crf import (
     log_likelihood_and_gradient,
     train,
 )
+from patseg.pipeline import FeatureExtractor
 
 from _reference import (
     as_version_2,
@@ -42,6 +44,7 @@ from _reference import (
     value_registry,
     transition_index,
 )
+from _synth import build_benchmark
 
 
 def random_instance(rng, length, n_templates=3, n_values=4):
@@ -143,7 +146,7 @@ class TestScoreSequence:
     def test_unregistered_features_contribute_zero(self):
         reg = FeatureRegistry({"t": ["a"]})
         model = CrfModel(reg, np.ones(reg.n_weights))
-        known, with_unknown = [[("t", "a")]], [[("t", "a"), ("t", "zzz")]]
+        known, with_unknown = [[("t", "a")]], [[("t", "a"), ("u", "zzz")]]
         assert enumerate_scores(model, known) == enumerate_scores(model, with_unknown)
         # the CRF core scores them alike too
         known, with_unknown = columns_from_rows(known), columns_from_rows(with_unknown)
@@ -221,14 +224,15 @@ class TestViterbi:
 
 
     def test_rows_of_ragged_arity_decode_as_the_enumeration(self):
-        """Rows with different templates, repeated templates and no entries
-        at all decode like the exhaustive argmax."""
+        """Rows with different templates in any order, unregistered
+        templates and values, and no entries at all decode like the
+        exhaustive argmax."""
         rng = np.random.default_rng(17)
-        pool = [("t0", "a"), ("t0", "b"), ("t1", "a"), ("t2", "c"), ("t1", "zzz")]
+        pool = {"t0": ["a", "b"], "t1": ["a", "zzz"], "t2": ["c"], "t3": ["a"]}
         for _ in range(30):
             length = int(rng.integers(1, 7))
             feats = [
-                [pool[int(j)] for j in rng.integers(0, len(pool), int(rng.integers(0, 4)))]
+                [(str(t), str(rng.choice(pool[t]))) for t in rng.choice(list(pool), int(rng.integers(0, 4)), replace=False)]
                 for _ in range(length)
             ]
             reg = FeatureRegistry({"t0": ["a", "b"], "t1": ["a"], "t2": ["c"]})
@@ -241,11 +245,18 @@ class TestViterbi:
 
 class TestColumns:
     def test_rows_round_trip_through_columns(self):
-        rows = [[("t", "a"), ("u", "b")], [], [("u", "c"), ("t", "d"), ("t", "e")]]
+        rows = [[("t", "a"), ("u", "b")], [], [("u", "c"), ("v", "e"), ("t", "d")]]
         columns = columns_from_rows(rows)
-        assert columns.templates == ("t", "u", "t")
-        assert list(columns) == [[("t", "a"), ("u", "b")], [], [("t", "d"), ("u", "c"), ("t", "e")]]
+        assert columns.templates == ("t", "u", "v")
+        assert list(columns) == [[("t", "a"), ("u", "b")], [], [("t", "d"), ("u", "c"), ("v", "e")]]
         assert list(columns_from_rows([[], []])) == [[], []]
+        with pytest.raises(ValueError, match="row 1"):
+            columns_from_rows([[("t", "a")], [("t", "b"), ("t", "c")]])
+
+    def test_a_template_names_one_column(self):
+        FeatureColumns(("t", "u"), (("a",), ("a",)), np.zeros((2, 1), dtype=np.intp), (1,))
+        with pytest.raises(ValueError, match="'u'"):
+            FeatureColumns(("t", "u", "u"), (("a",), ("a",), ("b",)), np.zeros((3, 1), dtype=np.intp), (1,))
 
     def test_training_instance_holds_the_columns_of_one_document(self):
         rows = [[("t", "a")], [("t", "b")], [("t", "c")]]
@@ -293,8 +304,8 @@ class TestColumns:
         cutoff."""
         rng = np.random.default_rng(18)
         sentences = [list(random_instance(rng, int(n), n_templates=4, n_values=5).features) for n in (3, 6, 1, 4)]
-        # rows of any arity, one template repeated within a row
-        sentences.append([[("t", "b"), ("t", "a")], [("t", "a"), ("t", "b"), ("u", "c")]])
+        # rows of any arity, listing templates in another order than the columns
+        sentences.append([[("t", "b"), ("u", "a")], [("u", "b"), ("w", "c"), ("t", "a")]])
         instances = [instance(rows, ("S",) * len(rows)) for rows in sentences]
         counts = Counter(key for rows in sentences for fv in rows for key in fv)
         for cutoff in (1, 2, 3):
@@ -313,17 +324,27 @@ class TestColumns:
         """Each template's slot range and the order of its values (the
         order a model file stores) equal those built over value lists, for
         runs cut from documents with their own tables, template sets that
-        change, a template repeated within a row, and every cutoff."""
+        change, tables not in first-seen order, and every cutoff; and for
+        the easy instances of a small world, where the two namespaces of a
+        template share one table and one code row."""
         rng = np.random.default_rng(25)
+        worlds = []
         for _ in range(20):
             instances = []
             for _ in range(rng.integers(1, 5)):
                 n_templates = int(rng.integers(1, 4))
                 document = [random_instance(rng, int(n), n_templates, n_values=6) for n in rng.integers(1, 6, rng.integers(1, 4))]
                 instances += [TrainingInstance(s, inst.gold) for s, inst in zip(run_of([list(i.features) for i in document]).sentences(), document)]
-            instances.append(instance([[("t0", "v1"), ("t0", "v9")], [("t0", "v9"), ("t1", "v1"), ("t0", "v2")]], "SS"))
-            # rows before columns: t lists a, c, b, not column by column a, b, c
-            instances.append(instance([[("t", "a"), ("t", "c")], [("t", "b")]], "SS"))
+            instances.append(instance([[("t0", "v1"), ("t2", "v9")], [("t2", "v9"), ("t1", "v1"), ("t0", "v2")]], "SS"))
+            # first seen by row, not by code: t lists x, y; u lists p
+            recoded = FeatureColumns(("t", "u"), (("y", "z", "x"), (None, "p")), np.array([[2, 0, 2], [1, 0, 1]]), (3,))
+            instances.append(TrainingInstance(recoded, ("S",) * 3))
+            worlds.append(instances)
+        source, target, _ = build_benchmark(7, source_words=1_600, target_words=1_600, dev_words=300)
+        easy, _ = build_training("easy", [t.doc for t in source], target, FeatureExtractor(("CF", "LNG")))
+        assert easy[0].features.tables[0] is easy[0].features.tables[1]
+        assert np.array_equal(easy[0].features.codes[0], easy[0].features.codes[1])
+        for instances in [*worlds, easy]:
             for cutoff in (1, 2, 3):
                 got, expected = build_registry(instances, cutoff), value_registry(instances, cutoff)
                 assert [(t, list(v)) for t, v in got._slots.items()] == list(expected.items())
@@ -796,6 +817,7 @@ class TestModelFile:
             ("non-finite weight", "finite"),
             ("missing byte", ""),  # refused by np.frombuffer, in numpy's words
             ("trailing byte", "after the last model"),
+            ("third model", "3 model entries"),
         ],
     )
     def test_each_load_check_refuses_its_damage(self, tmp_path, damage, reason):
@@ -823,6 +845,10 @@ class TestModelFile:
             body = body[:-1]
         elif damage == "trailing byte":
             body += b"\0"
+        elif damage == "third model":
+            header["models"].append(header["models"][1])
+            n_weights = sum(map(len, header["models"][1]["templates"].values())) * len(LABELS) + len(LABELS) ** 2
+            body += body[-8 * n_weights :]
         path.write_bytes(json.dumps(header, ensure_ascii=False).encode() + b"\n" + bytes(body))
         with pytest.raises(ValueError) as err:
             CrfModel.load(path)

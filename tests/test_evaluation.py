@@ -94,6 +94,12 @@ class TestScoreDocuments:
             score_documents(gold, [])
         assert "a" in str(err.value)
 
+    def test_a_prediction_without_gold_is_refused(self):
+        gold = [make_doc("a", [["好"]])]
+        pred = [make_doc("a", [["好"]]), make_doc("zz", [["好"]])]
+        with pytest.raises(ValueError, match="'zz' missing from the gold corpus"):
+            score_documents(gold, pred)
+
     def test_duplicate_document_ids_are_rejected(self):
         gold = [make_doc("a", [["好"]])]
         twice = [make_doc("a", [["好"]]), make_doc("a", [["好"]])]
